@@ -11,10 +11,8 @@ from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
                        module_quotient, module_staircase, normal_form,
                        parse_polynomial, parse_vector, saturate,
                        submodule_equal)
-from .frobenius import (FrobeniusDecomposition, VolumeForm, can_apply,
-                        can_inverse_table, cartier_volume,
-                        cartier_volume_by_decomposition, dual_basis_eval,
-                        pth_root_decompose)
+from .frobenius import (FrobeniusDecomposition, cartier_volume,
+                        cartier_volume_by_decomposition, pth_root_decompose)
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict, SemilinearEndo, StableImageResult,
                       crystal_is_zero, hom_commuting, is_crystal_supported_on,

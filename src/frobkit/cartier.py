@@ -182,11 +182,6 @@ class StableImageResult:
     index: int
     stable: GroebnerBasis
 
-    @property
-    def is_zero_module(self) -> bool:
-        # "zero" means equal to the relation submodule; checked by the caller
-        raise NotImplementedError
-
 
 def _full_module_basis(m: CartierModule) -> GroebnerBasis:
     gens = [FreeVector.unit(m.ring, m.rank, j) for j in range(m.rank)]

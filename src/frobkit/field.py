@@ -123,6 +123,11 @@ class FieldSpec:
                    tuple(data.get("modulus", ())))
 
 
+def _mixed_fields(a: FieldSpec, b: FieldSpec) -> FieldError:
+    return FieldError(f"arithmetic between elements of different fields: "
+                      f"{a} and {b}")
+
+
 class FieldElement:
     """An element of GF(p^e), immutable and hashable."""
 
@@ -163,11 +168,15 @@ class FieldElement:
         return not any(self.coeffs[1:])
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise _mixed_fields(self.spec, other.spec)
         p = self.spec.p
         return FieldElement(self.spec, tuple((a + b) % p
                                              for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise _mixed_fields(self.spec, other.spec)
         p = self.spec.p
         return FieldElement(self.spec, tuple((a - b) % p
                                              for a, b in zip(self.coeffs, other.coeffs)))
@@ -178,6 +187,8 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         spec = self.spec
+        if other.spec is not spec and other.spec != spec:
+            raise _mixed_fields(spec, other.spec)
         p = spec.p
         if spec.e == 1:
             return FieldElement(spec, (self.coeffs[0] * other.coeffs[0] % p,))

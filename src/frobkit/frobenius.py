@@ -1,7 +1,8 @@
 """Frobenius pushforward structure of the polynomial ring P = k[x_1..x_n]:
 F_*P is free over P with basis {x^a : 0 <= a_i < p}.  This module provides the
-decomposition of a polynomial over that basis, the dual-basis functionals, and
-the canonical Cartier operator on the volume form dx_1 ^ ... ^ dx_n.
+decomposition of a polynomial over that basis (its parts are the values of the
+dual-basis functionals) and the canonical Cartier operator on the volume form
+dx_1 ^ ... ^ dx_n.
 """
 from __future__ import annotations
 
@@ -75,27 +76,6 @@ def pth_root_decompose(f: Polynomial) -> FrobeniusDecomposition:
         ctx, {a: Polynomial(ctx, d, _clean=False) for a, d in parts.items()})
 
 
-def dual_basis_eval(a, f: Polynomial) -> Polynomial:
-    """The functional dual to the basis monomial x^a: extracts g_a from the
-    decomposition, so dual_basis_eval(a, x^b) is 1 when b = a (both reduced
-    mod p) and 0 for other b in [0,p)^n."""
-    ctx = f.ctx
-    p = ctx.field.p
-    a = tuple(a)
-    if any(not 0 <= e < p for e in a):
-        raise ValueError("dual basis index must lie in [0, p)^n")
-    out: dict = {}
-    for m, c in f.terms.items():
-        ok = True
-        for e, r in zip(m, a):
-            if e % p != r:
-                ok = False
-                break
-        if ok:
-            out[tuple((e - r) // p for e, r in zip(m, a))] = frobenius_root(c)
-    return Polynomial(ctx, out, _clean=False)
-
-
 def cartier_volume(f: Polynomial) -> Polynomial:
     """Coefficient of the canonical Cartier operator on the volume form:
     kappa(f dx) = cartier_volume(f) dx.  A term c*x^E contributes
@@ -121,78 +101,3 @@ def cartier_volume_by_decomposition(f: Polynomial) -> Polynomial:
     p = f.ctx.field.p
     top = (p - 1,) * f.ctx.nvars
     return pth_root_decompose(f).part(top)
-
-
-@dataclass(frozen=True)
-class VolumeForm:
-    """An element coeff * dx_1 ^ ... ^ dx_n of the rank-1 module of top
-    differential forms."""
-
-    coeff: Polynomial
-
-    @property
-    def ctx(self) -> RingContext:
-        return self.coeff.ctx
-
-    def cartier(self) -> "VolumeForm":
-        return VolumeForm(cartier_volume(self.coeff))
-
-    def to_json(self) -> dict:
-        from .polyring import format_polynomial
-        return {"form": "top", "coeff": format_polynomial(self.coeff)}
-
-    def __str__(self) -> str:
-        names = "^".join(f"d{v}" for v in self.ctx.vars)
-        return f"({self.coeff}) {names}"
-
-
-@dataclass(frozen=True)
-class CanTable:
-    """A functional on F_*P in dual-basis form: the formal sum over a of
-    phi_a tensor value_a, i.e. the map f -> sum_a dual_basis_eval(a, f) * value_a.
-    Values may be Polynomials or any type supporting scaling by Polynomials."""
-
-    ctx: RingContext
-    values: dict
-
-
-def can_inverse_table(ctx: RingContext, phi_values: dict) -> CanTable:
-    """Package a table a -> value (missing entries are zero) as the dual-basis
-    representation of the corresponding functional."""
-    p = ctx.field.p
-    clean = {}
-    for a, v in phi_values.items():
-        a = tuple(a)
-        if any(not 0 <= e < p for e in a):
-            raise ValueError(f"index {a} outside [0, p)^n")
-        if v:
-            clean[a] = v
-    return CanTable(ctx, clean)
-
-
-def can_apply(table: CanTable, f: Polynomial):
-    """Evaluate the packaged functional: sum_a dual_basis_eval(a, f) * value_a."""
-    dec = pth_root_decompose(f)
-    acc = None
-    for a, v in table.values.items():
-        g = dec.parts.get(a)
-        if g is None:
-            continue
-        piece = v * g if isinstance(v, Polynomial) else v.scale(g)
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        zero = Polynomial.zero(table.ctx)
-        for v in table.values.values():
-            return v - v  # typed zero matching the value type
-        return zero
-    return acc
-
-
-def can_table_of(table: CanTable) -> dict:
-    """Recover the defining table: the value at a is can_apply on x^a."""
-    out = {}
-    for a in residue_exponents(table.ctx):
-        v = table.values.get(a)
-        if v:
-            out[a] = v
-    return out

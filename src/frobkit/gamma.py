@@ -7,7 +7,9 @@ module generated by a root.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict, restrict_to_principal_open)
@@ -160,16 +162,6 @@ def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16,
 # ---------------------------------------------------------------------------
 # the dualizing twist
 
-def _koszul_factor(n_ctx: QuotientContext, seq) -> Polynomial:
-    ring = n_ctx.ring
-    if seq:
-        acc = Polynomial.one(ring)
-        for f in seq:
-            acc = acc * f
-        return acc
-    return Polynomial.one(ring)
-
-
 def _check_sequence(ctx: QuotientContext, seq,
                     budget: int = DEFAULT_SPAIR_BUDGET) -> None:
     if ctx.is_ambient:
@@ -197,10 +189,9 @@ def twist_to_cartier(n: GammaSheaf, seq=(), method: str = "projection",
     _check_sequence(n.ctx, seq, budget)
     ring = n.ring
     p = ring.field.p
-    factor = _koszul_factor(n.ctx, seq) ** (p - 1)
+    factor = math.prod(seq, start=Polynomial.one(ring)) ** (p - 1)
     top = tuple(p - 1 for _ in range(ring.nvars))
     table: dict = {}
-    from itertools import product
     for j in range(n.rank):
         scaled = [factor * n.matrix[i][j] for i in range(n.rank)]
         if method == "dual":
@@ -259,7 +250,9 @@ def gen_stable_dimension(n: GammaSheaf, budget: int = DEFAULT_SPAIR_BUDGET
     """k-dimension of the unit module generated by the root: the eventual
     rank of the e-fold composite as a map into F^e*N, computed as
     dim(P^s/rels_e) - dim(P^s/(columns + rels_e)).  The sequence is
-    non-increasing; it is returned once two consecutive values agree."""
+    non-increasing.  It is computed for e = 1, ..., d + 1, where d is the
+    k-dimension of N (at least 1); the loop returns 0 as soon as a value is
+    0 and otherwise returns the value at e = d + 1."""
     st = module_staircase(n.relations, n.rank)
     if st is None:
         raise InfiniteDimensionalError("gen dimension needs a finite "

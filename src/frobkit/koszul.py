@@ -4,15 +4,16 @@ the determinant transition factor between two presenting sequences, and the
 commutation check between pullback and the dualizing twist."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 from .cartier import CartierModule, kappa_apply, volume_cartier_module
 from .gamma import GammaSheaf, twist_to_cartier
 from .polyring import (DEFAULT_SPAIR_BUDGET, FreeVector, Polynomial,
-                       QuotientContext, RingContext, _reduce_vector,
-                       buchberger, is_regular_sequence, mono_degree,
-                       mono_lcm, mono_div, normal_form, submodule_equal)
+                       QuotientContext, RingContext, buchberger,
+                       is_regular_sequence, module_buchberger, normal_form,
+                       submodule_equal)
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,7 @@ class ClosedImmersion:
         return len(self.seq)
 
     def product(self) -> Polynomial:
-        acc = Polynomial.one(self.ambient)
-        for f in self.seq:
-            acc = acc * f
-        return acc
+        return math.prod(self.seq, start=Polynomial.one(self.ambient))
 
 
 def cartier_pullback(m: CartierModule, im: ClosedImmersion,
@@ -104,67 +102,6 @@ class TransitionMatrix:
     det: Polynomial
 
 
-def _gb_with_cofactors(polys: list[Polynomial], ctx: RingContext,
-                       budget: int = DEFAULT_SPAIR_BUDGET):
-    """Buchberger that tracks, for every basis element h, a cofactor vector c
-    with h = sum_j c_j * polys_j exactly."""
-    basis: list[Polynomial] = []
-    cof: list[list[Polynomial]] = []
-    k = len(polys)
-    zero = Polynomial.zero(ctx)
-    for i, f in enumerate(polys):
-        if f.is_zero():
-            continue
-        _, lc = f.leading()
-        inv = lc.inverse()
-        basis.append(f.scale(inv))
-        cof.append([Polynomial.constant(ctx, 0) if j != i
-                    else Polynomial.constant(ctx, 1).scale(inv)
-                    for j in range(k)])
-
-    def reduce_with_cof(h: Polynomial, hcof: list[Polynomial]):
-        vecs = [FreeVector(ctx, (b,)) for b in basis]
-        r, quots = _reduce_vector(FreeVector(ctx, (h,)), vecs,
-                                  with_quotients=True)
-        rcof = list(hcof)
-        for q, bc in zip(quots, cof):
-            if q.is_zero():
-                continue
-            rcof = [rc - q * bcj for rc, bcj in zip(rcof, bc)]
-        return r.comps[0], rcof
-
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    spent = 0
-    while pairs:
-        pairs.sort(key=lambda pr: (mono_degree(
-            mono_lcm(basis[pr[0]].leading()[0], basis[pr[1]].leading()[0])),
-            pr))
-        i, j = pairs.pop(0)
-        mi, _ = basis[i].leading()
-        mj, _ = basis[j].leading()
-        l = mono_lcm(mi, mj)
-        if l == tuple(a + b for a, b in zip(mi, mj)):
-            continue
-        spent += 1
-        if spent > budget:
-            raise RuntimeError(f"cofactor S-pair budget {budget} exceeded")
-        one = ctx.field.one()
-        s = (basis[i].term_mul(mono_div(l, mi), one)
-             - basis[j].term_mul(mono_div(l, mj), one))
-        scof = [ci.term_mul(mono_div(l, mi), one)
-                - cj.term_mul(mono_div(l, mj), one)
-                for ci, cj in zip(cof[i], cof[j])]
-        r, rcof = reduce_with_cof(s, scof)
-        if r:
-            _, lc = r.leading()
-            inv = lc.inverse()
-            new = len(basis)
-            basis.append(r.scale(inv))
-            cof.append([c.scale(inv) for c in rcof])
-            pairs.extend((t, new) for t in range(new))
-    return basis, cof
-
-
 def _det(mat: list[list[Polynomial]], ctx: RingContext) -> Polynomial:
     n = len(mat)
     if n == 0:
@@ -184,8 +121,8 @@ def _det(mat: list[list[Polynomial]], ctx: RingContext) -> Polynomial:
 def transition_factor(f_seq, g_seq, ctx: RingContext,
                       budget: int = DEFAULT_SPAIR_BUDGET) -> TransitionMatrix:
     """A matrix C with g_i = sum_j C[i][j] f_j and its determinant mod the
-    common ideal.  C is chosen deterministically; only det(C) mod I is
-    canonical."""
+    common ideal.  C is chosen deterministically but is not unique; when f
+    is a regular sequence, det(C) mod I does not depend on the choice."""
     f_seq, g_seq = list(f_seq), list(g_seq)
     if len(f_seq) != len(g_seq):
         raise ValueError("sequences have different lengths")
@@ -193,20 +130,19 @@ def transition_factor(f_seq, g_seq, ctx: RingContext,
     ggb = buchberger(g_seq, ctx, budget)
     if not submodule_equal(fgb, ggb):
         raise ValueError("sequences generate different ideals")
-    basis, cof = _gb_with_cofactors(f_seq, ctx, budget)
-    vecs = [FreeVector(ctx, (b,)) for b in basis]
+    # every element (h | c) of the module generated by the (f_j | e_j)
+    # satisfies h = sum_j c_j f_j, so (g | 0) reduces to (0 | -row)
+    k = len(f_seq)
+    zeros = (Polynomial.zero(ctx),) * k
+    mgb = module_buchberger(
+        [FreeVector(ctx, (f,) + FreeVector.unit(ctx, k, j).comps)
+         for j, f in enumerate(f_seq)], 1 + k, ctx, budget)
     rows = []
     for g in g_seq:
-        r, quots = _reduce_vector(FreeVector(ctx, (g,)), vecs,
-                                  with_quotients=True)
-        if not r.comps[0].is_zero():
+        r = normal_form(FreeVector(ctx, (g,) + zeros), mgb)
+        if r.comps[0]:
             raise ValueError("membership reduction failed")
-        row = [Polynomial.zero(ctx) for _ in f_seq]
-        for q, bc in zip(quots, cof):
-            if q.is_zero():
-                continue
-            row = [rj + q * bcj for rj, bcj in zip(row, bc)]
-        rows.append(row)
+        rows.append([-c for c in r.comps[1:]])
     # the defining identities hold exactly by construction; assert anyway
     for g, row in zip(g_seq, rows):
         acc = Polynomial.zero(ctx)

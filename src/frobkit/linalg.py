@@ -42,10 +42,6 @@ def mat_vec(a: list[list[FieldElement]],
     return [c[0] for c in mat_mul(a, [[x] for x in v])]
 
 
-def mat_equal(a, b) -> bool:
-    return a == b
-
-
 def mat_entrywise(a, fn) -> list[list[FieldElement]]:
     return [[fn(x) for x in row] for row in a]
 

@@ -8,8 +8,10 @@ applies.  All computation is exact.
 """
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional
 
 from .field import FieldElement, FieldSpec
@@ -380,22 +382,20 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # division / normal form
 
-def _as_vector(f, rank: int = 1) -> FreeVector:
+def _as_vector(f) -> FreeVector:
     if isinstance(f, FreeVector):
         return f
     return FreeVector(f.ctx, (f,))
 
 
-def _reduce_vector(v: FreeVector, gens: list[FreeVector],
-                   with_quotients: bool = False):
-    """Full multivariate division: returns the remainder (and the quotient
-    polynomials against ``gens`` when requested).  Generators must be monic."""
+def _reduce_vector(v: FreeVector, gens: list[FreeVector]) -> FreeVector:
+    """Full multivariate division: returns the remainder of ``v`` against
+    ``gens``.  Generators must be monic."""
     ctx = v.ctx
     key = ctx.monomial_key
     leads = [g.leading() for g in gens]
     work = [dict(c.terms) for c in v.comps]
     rem = [dict() for _ in v.comps]
-    quots = [dict() for _ in gens] if with_quotients else None
 
     while True:
         best = None
@@ -409,10 +409,9 @@ def _reduce_vector(v: FreeVector, gens: list[FreeVector],
             break
         j, m = best
         c = work[j][m]
-        for gi, (gpos, gm, _) in enumerate(leads):
+        for g, (gpos, gm, _) in zip(gens, leads):
             if gpos == j and mono_divides(gm, m):
                 shift = mono_div(m, gm)
-                g = gens[gi]
                 for pos, comp in enumerate(g.comps):
                     tgt = work[pos]
                     for mm, cc in comp.terms.items():
@@ -426,25 +425,12 @@ def _reduce_vector(v: FreeVector, gens: list[FreeVector],
                                 del tgt[mmm]
                         else:
                             tgt[mmm] = -prod
-                if with_quotients:
-                    q = quots[gi]
-                    if shift in q:
-                        s = q[shift] + c
-                        if s:
-                            q[shift] = s
-                        else:
-                            del q[shift]
-                    else:
-                        q[shift] = c
                 break
         else:
             rem[j][m] = c
             del work[j][m]
 
-    remainder = FreeVector(ctx, (Polynomial(ctx, d, _clean=False) for d in rem))
-    if with_quotients:
-        return remainder, [Polynomial(ctx, q, _clean=False) for q in quots]
-    return remainder
+    return FreeVector(ctx, (Polynomial(ctx, d, _clean=False) for d in rem))
 
 
 def normal_form(f, gb: GroebnerBasis):
@@ -512,18 +498,28 @@ def module_buchberger(vectors: Iterable[FreeVector], rank: int,
     if not vectors:
         return GroebnerBasis(ctx, rank, ())
 
-    basis = [v.monic() for v in vectors]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-             if basis[i].leading()[0] == basis[j].leading()[0]]
+    basis: list[FreeVector] = []
+    leads: list[tuple[int, Monomial]] = []
+    # pairs (lcm degree, i, j) with i < j and equal lead positions, popped
+    # smallest first; leading terms of basis elements never change, so each
+    # key is computed once, and keys are unique, so the order is total
+    pairs: list[tuple[int, int, int]] = []
+
+    def add(v: FreeVector) -> None:
+        new = len(basis)
+        pos, m, _ = v.leading()
+        basis.append(v)
+        leads.append((pos, m))
+        for k, (kpos, km) in enumerate(leads[:new]):
+            if kpos == pos:
+                heapq.heappush(pairs, (mono_degree(mono_lcm(km, m)), k, new))
+
+    for v in vectors:
+        add(v.monic())
     spent = 0
     while pairs:
-        def lcm_deg(pr):
-            i, j = pr
-            return mono_degree(mono_lcm(basis[i].leading()[1],
-                                        basis[j].leading()[1]))
-        pairs.sort(key=lambda pr: (lcm_deg(pr), pr))
-        i, j = pairs.pop(0)
-        mi, mj = basis[i].leading()[1], basis[j].leading()[1]
+        _, i, j = heapq.heappop(pairs)
+        mi, mj = leads[i][1], leads[j][1]
         if rank == 1 and mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue  # product criterion
         spent += 1
@@ -531,12 +527,7 @@ def module_buchberger(vectors: Iterable[FreeVector], rank: int,
             raise BudgetExceededError(f"S-pair budget {budget} exceeded")
         r = _reduce_vector(_spair(basis[i], basis[j]), basis)
         if r:
-            r = r.monic()
-            pos = r.leading()[0]
-            new = len(basis)
-            basis.append(r)
-            pairs.extend((k, new) for k in range(new)
-                         if basis[k].leading()[0] == pos)
+            add(r.monic())
     return _interreduce(basis, ctx, rank)
 
 
@@ -656,10 +647,6 @@ def saturate(n: GroebnerBasis, h: Polynomial,
                               f"{max_rounds} rounds")
 
 
-def ideal_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    return submodule_equal(a, b)
-
-
 def is_regular_sequence(seq: list[Polynomial], ctx: RingContext,
                         budget: int = DEFAULT_SPAIR_BUDGET) -> bool:
     """True iff each f_i is a nonzerodivisor modulo its predecessors and the
@@ -707,8 +694,7 @@ def module_staircase(gb: GroebnerBasis, rank: int) -> Optional[list[tuple[int, M
             bounds.append(min(pure))
         if bounds == [] and ms and any(all(x == 0 for x in m) for m in ms):
             continue
-        from itertools import product as _product
-        for b in _product(*(range(bd) for bd in bounds)):
+        for b in product(*(range(bd) for bd in bounds)):
             if not any(mono_divides(m, b) for m in ms):
                 out.append((j, b))
     out.sort(key=lambda jm: (jm[0], ctx.monomial_key(jm[1])))

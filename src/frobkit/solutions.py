@@ -173,6 +173,8 @@ def brute_force_solutions(root: GammaSheaf, pt: RationalPoint,
 def artin_schreier_kernel(q: int, guard: int = DEFAULT_GUARD) -> int:
     """F_p-dimension of {a in GF(q) : a^p = a}; the fixed set is the prime
     field, so the answer is 1 for every prime power q."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
     if q > guard:
         raise GuardExceededError(f"field of size {q} exceeds the guard")
     p = next(d for d in range(2, q + 1) if q % d == 0)

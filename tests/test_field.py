@@ -86,3 +86,24 @@ def test_element_str():
     assert str(FieldSpec(5).from_int(3)) == "3"
     g = GF4.generator()
     assert "a" in str(g)
+
+
+@pytest.mark.parametrize("a,b", [
+    (FieldSpec(2).one(), GF4.generator()),
+    (GF4.generator(), FieldSpec(2).one()),
+    (GF8.generator(), FieldSpec(2, 3, (1, 0, 1, 1)).generator()),
+    (GF9.one(), FieldSpec(3).one()),
+], ids=["GF2+GF4", "GF4+GF2", "GF8-moduli", "GF9+GF3"])
+def test_mixed_field_arithmetic_is_an_error(a, b):
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(FieldError, match="different fields"):
+            op()
+
+
+def test_equal_specs_built_apart_mix():
+    other = FieldSpec(2, 2, (1, 1, 1))
+    assert other is not GF4
+    g, h = GF4.generator(), other.generator()
+    assert g + h == GF4.zero()
+    assert g * h == g * g
+    assert g - h == GF4.zero()

@@ -3,10 +3,8 @@ import random
 import pytest
 
 from frobkit.field import FieldSpec, frobenius_root
-from frobkit.frobenius import (can_apply, can_inverse_table, cartier_volume,
-                               cartier_volume_by_decomposition,
-                               dual_basis_eval, pth_root_decompose,
-                               residue_exponents)
+from frobkit.frobenius import (cartier_volume, cartier_volume_by_decomposition,
+                               pth_root_decompose, residue_exponents)
 from frobkit.polyring import Polynomial, RingContext
 
 GF9 = FieldSpec(3, 2, (1, 0, 1))
@@ -77,7 +75,7 @@ def test_dual_basis_delta():
     ring = RingContext(FieldSpec(3), ("x", "y"))
     for a in residue_exponents(ring):
         for b in residue_exponents(ring):
-            val = dual_basis_eval(a, Polynomial.monomial(ring, b))
+            val = pth_root_decompose(Polynomial.monomial(ring, b)).part(a)
             if a == b:
                 assert val == Polynomial.one(ring)
             else:
@@ -87,7 +85,7 @@ def test_dual_basis_delta():
 def test_dual_basis_shifted():
     ring = RingContext(FieldSpec(2), ("x",))
     x3 = Polynomial.monomial(ring, (3,))
-    assert dual_basis_eval((1,), x3) == Polynomial.variable(ring, "x")
+    assert pth_root_decompose(x3).part((1,)) == Polynomial.variable(ring, "x")
 
 
 def test_cartier_volume_univariate_known_values():
@@ -118,38 +116,3 @@ def test_cartier_volume_semilinear_and_surjective(p):
         f = rand_poly(rng, ring, 4, 4)
         assert cartier_volume((h ** p) * f) == h * cartier_volume(f)
         assert cartier_volume(top * h ** p) == h
-
-
-def test_can_table_round_trip():
-    ring = RingContext(FieldSpec(2), ("x", "y"))
-    rng = random.Random(11)
-    for _ in range(15):
-        values = {}
-        for a in residue_exponents(ring):
-            g = rand_poly(rng, ring, 2, 2)
-            if g:
-                values[a] = g
-        table = can_inverse_table(ring, values)
-        # evaluating on the basis recovers the table
-        for a in residue_exponents(ring):
-            got = can_apply(table, Polynomial.monomial(ring, a))
-            want = values.get(a, Polynomial.zero(ring))
-            assert got == want
-
-
-def test_can_table_of_volume_form():
-    ring = RingContext(FieldSpec(3), ("x",))
-    table = can_inverse_table(ring, {(2,): Polynomial.one(ring)})
-    x = Polynomial.variable(ring, "x")
-    assert can_apply(table, x ** 2) == Polynomial.one(ring)
-    assert can_apply(table, x ** 5) == x
-    assert can_apply(table, x).is_zero()
-    assert can_apply(table, Polynomial.zero(ring)).is_zero()
-
-
-def test_can_table_index_guard():
-    ring = RingContext(FieldSpec(2), ("x",))
-    with pytest.raises(ValueError):
-        can_inverse_table(ring, {(2,): Polynomial.one(ring)})
-    with pytest.raises(ValueError):
-        dual_basis_eval((5,), Polynomial.one(ring))

@@ -11,7 +11,7 @@ from frobkit.koszul import (ClosedImmersion, cartier_pullback,
                             check_pullback_twist_commutes, dualizing_module,
                             gamma_pullback, transition_factor)
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
-                              RingContext)
+                              RingContext, buchberger)
 from frobkit.verify import random_gamma
 
 
@@ -87,6 +87,14 @@ def test_pullbacks_compose():
         assert two_steps.relations.generators == one_step.relations.generators
 
 
+def assert_transition_identity(tr, f_seq, g_seq):
+    for row, g in zip(tr.matrix, g_seq):
+        acc = Polynomial.zero(g.ctx)
+        for c, f in zip(row, f_seq):
+            acc = acc + c * f
+        assert acc == g
+
+
 def test_transition_factor_examples():
     for p in (2, 3):
         r = ring(p, "x", "y")
@@ -98,13 +106,35 @@ def test_transition_factor_examples():
         assert same.det == Polynomial.one(r)
         shear = transition_factor([x, y], [x, x + y], r)
         assert shear.det == Polynomial.one(r)
-        # defining identities
-        for tr, g_seq in ((swap, [y, x]), (shear, [x, x + y])):
-            for row, g in zip(tr.matrix, g_seq):
-                acc = Polynomial.zero(r)
-                for c, f in zip(row, [x, y]):
-                    acc = acc + c * f
-                assert acc == g
+        assert_transition_identity(swap, [x, y], [y, x])
+        assert_transition_identity(shear, [x, y], [x, x + y])
+
+
+def test_transition_factor_codim_three():
+    r = ring(3, "x", "y", "z")
+    x, y, z = (Polynomial.variable(r, v) for v in "xyz")
+    f_seq = [x, y, z]
+    g_seq = [z, x + y * z, 2 * y + x ** 2]
+    tr = transition_factor(f_seq, g_seq, r)
+    assert_transition_identity(tr, f_seq, g_seq)
+    # C = [[0, 0, 1], [1, z, 0], [x, 2, 0]] is one choice; expanding along
+    # the first row, det C = 2 - x*z, which is 2 modulo (x, y, z)
+    assert tr.det == Polynomial.constant(r, 2)
+
+
+def test_transition_factor_non_monomial_sequence():
+    # lex with y > x: the reduced basis of (x^2 + y, y^3) is (y + x^2, x^6),
+    # so the module basis is not read off f directly
+    r = RingContext(FieldSpec(3), ("y", "x"), "lex")
+    x, y = Polynomial.variable(r, "x"), Polynomial.variable(r, "y")
+    f_seq = [x ** 2 + y, y ** 3]
+    assert buchberger(f_seq, r).polys == [x ** 6, y + x ** 2]
+    f1, f2 = f_seq
+    g_seq = [x * f1 + f2, (Polynomial.one(r) + x * y) * f1 + y * f2]
+    tr = transition_factor(f_seq, g_seq, r)
+    assert_transition_identity(tr, f_seq, g_seq)
+    # C = [[x, 1], [1 + x*y, y]] gives det C = x*y - (1 + x*y) = -1
+    assert tr.det == Polynomial.constant(r, 2)
 
 
 def test_transition_factor_rejects_different_ideals():

@@ -116,6 +116,13 @@ def test_command_errors_are_structured():
     assert all("error" in r for r in reports[:3])
 
 
+def test_artin_schreier_size_error_carries_message():
+    reports = run_session(base_session(commands=[
+        {"op": "as-kernel", "q": 1}]))
+    assert reports[0]["status"] == "error"
+    assert reports[0]["error"] == "1 is not a prime power"
+
+
 def test_reports_are_deterministic():
     cmds = [
         {"op": "twist-to-cartier", "target": "N1", "store": "M1"},

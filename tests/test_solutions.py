@@ -68,6 +68,12 @@ def test_artin_schreier_rejects_non_prime_powers():
         artin_schreier_kernel(12)
 
 
+@pytest.mark.parametrize("q", [1, 0, -4])
+def test_artin_schreier_rejects_sizes_below_two(q):
+    with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+        artin_schreier_kernel(q)
+
+
 def test_constant_sheaf_dimension_one_everywhere():
     for p in (2, 3):
         ctx = ambient(p, "x")
