@@ -225,13 +225,6 @@ def is_nilpotent(m: CartierModule, max_levels: int = 64,
     return NilpotenceVerdict.not_nilpotent()
 
 
-def crystal_is_zero(m: CartierModule, max_levels: int = 64,
-                    budget: int = DEFAULT_SPAIR_BUDGET) -> NilpotenceVerdict:
-    """A coherent Cartier module is zero as a crystal exactly when it is
-    nilpotent."""
-    return is_nilpotent(m, max_levels, budget)
-
-
 def is_crystal_supported_on(m: CartierModule, j_gens: list[Polynomial],
                             max_levels: int = 64,
                             budget: int = DEFAULT_SPAIR_BUDGET) -> bool:

@@ -2,17 +2,16 @@
 structural map gamma: N -> F*N recorded as an s x s matrix A of polynomials
 (gamma(e_j) = sum_i A_ij tensor e_i).  Provides iteration and nilpotence of
 gamma, the dualizing twist to and from Cartier modules, the Frobenius twist of
-a root, restriction to principal opens, and the stable dimension of the unit
-module generated by a root.
+a root, and the stable dimension of the unit module generated by a root.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
-                      NilpotenceVerdict, restrict_to_principal_open)
+                      NilpotenceVerdict)
 from .frobenius import cartier_volume, pth_root_decompose
 from .polyring import (DEFAULT_SPAIR_BUDGET, FreeVector, GroebnerBasis,
                        Polynomial, QuotientContext, RankMismatchError,
@@ -112,51 +111,90 @@ class GammaIterate:
     matrix: tuple
 
 
-def gamma_iterate(n: GammaSheaf, e: int) -> GammaIterate:
-    if e < 1:
-        raise ValueError("level must be >= 1")
-    cur = n.matrix
-    for k in range(1, e):
-        tw = tuple(tuple(x.frobenius_twist(k) for x in row) for row in n.matrix)
+def _iterates(n: GammaSheaf):
+    """The composites at levels 1, 2, ...: the one at level e + 1 is
+    A^[p^e] times the one at level e, reduced mod I."""
+    it = GammaIterate(1, n.matrix)
+    while True:
+        yield it
+        tw = tuple(tuple(x.frobenius_twist(it.level) for x in row)
+                   for row in n.matrix)
         nxt = []
         for i in range(n.rank):
             row = []
             for j in range(n.rank):
                 acc = Polynomial.zero(n.ring)
                 for t in range(n.rank):
-                    acc = acc + tw[i][t] * cur[t][j]
+                    acc = acc + tw[i][t] * it.matrix[t][j]
                 row.append(n.ctx.nf(acc))
             nxt.append(tuple(row))
-        cur = tuple(nxt)
-    return GammaIterate(e, cur)
+        it = GammaIterate(it.level + 1, tuple(nxt))
+
+
+def gamma_iterate(n: GammaSheaf, e: int) -> GammaIterate:
+    if e < 1:
+        raise ValueError("level must be >= 1")
+    return next(islice(_iterates(n), e - 1, None))
+
+
+def _columns(n: GammaSheaf, it: GammaIterate) -> list:
+    return [FreeVector(n.ring, (it.matrix[i][j] for i in range(n.rank)))
+            for j in range(n.rank)]
+
+
+def _image_dimension(n: GammaSheaf, it: GammaIterate, budget: int) -> int:
+    """k-dimension of the image of the composite in F^e*N:
+    dim(P^s/rels_e) - dim(P^s/(columns + rels_e))."""
+    rels = twisted_relations(n, it.level, budget)
+    amb = module_staircase(rels, n.rank)
+    if amb is None:
+        raise InfiniteDimensionalError("twisted relations are not "
+                                       "finite dimensional")
+    joint = module_buchberger(list(rels.generators) + _columns(n, it),
+                              n.rank, n.ring, budget)
+    return len(amb) - len(module_staircase(joint, n.rank))
+
+
+def _kernel_chain(n: GammaSheaf, budget: int):
+    """Yield (composite, image dimension) for e = 1, 2, ... over a
+    finite-dimensional N, up to the first dimension 0 or the first value
+    equal to the one before it."""
+    prev = None
+    for it in _iterates(n):
+        r = _image_dimension(n, it, budget)
+        yield it, r
+        if r == 0 or r == prev:
+            return
+        prev = r
 
 
 def _columns_vanish(n: GammaSheaf, it: GammaIterate,
                     budget: int = DEFAULT_SPAIR_BUDGET) -> bool:
     tw = twisted_relations(n, it.level, budget)
-    for j in range(n.rank):
-        col = FreeVector(n.ring, (it.matrix[i][j] for i in range(n.rank)))
-        if tw.generators:
-            if not normal_form(col, tw).is_zero():
-                return False
-        elif col:
-            return False
-    return True
+    return all(normal_form(col, tw).is_zero() for col in _columns(n, it))
 
 
 def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16,
                        budget: int = DEFAULT_SPAIR_BUDGET) -> NilpotenceVerdict:
-    """Smallest e with the e-fold composite vanishing into F^e*N.  When the
-    underlying module is a finite-dimensional k-space of dimension d the
-    search up to d is exact; otherwise a bounded search."""
-    st = module_staircase(n.relations, n.rank)
-    bound = e_max if st is None else max(1, len(st))
-    for e in range(1, bound + 1):
-        if _columns_vanish(n, gamma_iterate(n, e), budget):
-            return NilpotenceVerdict.nilpotent(e)
-    if st is not None:
-        return NilpotenceVerdict.not_nilpotent()
-    return NilpotenceVerdict.not_nilpotent_up_to(bound)
+    """Smallest e with the e-fold composite vanishing into F^e*N.  When N is
+    a finite-dimensional k-space ``e_max`` is not used: the kernels K_e of
+    the composites grow with e, and Frobenius is flat on P (Kunz 1969), so
+    K_(e+1) = gamma^-1(F*K_e) and equal image dimensions at two consecutive
+    levels mean equal kernels from then on.  The index is the level of the
+    first image dimension 0; a nonzero repeat means not nilpotent.  Over a
+    quotient P/I that is not regular its Frobenius is not flat and the rule
+    is unproven: it matches the full loop for free N, but can stop too
+    early for other N.  When N is infinite dimensional the search runs over
+    e = 1, ..., e_max."""
+    if module_staircase(n.relations, n.rank) is not None:
+        for it, r in _kernel_chain(n, budget):
+            pass
+        return (NilpotenceVerdict.nilpotent(it.level) if r == 0
+                else NilpotenceVerdict.not_nilpotent())
+    for it in islice(_iterates(n), e_max):
+        if _columns_vanish(n, it, budget):
+            return NilpotenceVerdict.nilpotent(it.level)
+    return NilpotenceVerdict.not_nilpotent_up_to(e_max)
 
 
 # ---------------------------------------------------------------------------
@@ -248,59 +286,16 @@ def frobenius_twist_root(n: GammaSheaf,
 def gen_stable_dimension(n: GammaSheaf, budget: int = DEFAULT_SPAIR_BUDGET
                          ) -> int:
     """k-dimension of the unit module generated by the root: the eventual
-    rank of the e-fold composite as a map into F^e*N, computed as
-    dim(P^s/rels_e) - dim(P^s/(columns + rels_e)).  The sequence is
-    non-increasing.  It is computed for e = 1, ..., d + 1, where d is the
-    k-dimension of N (at least 1); the loop returns 0 as soon as a value is
-    0 and otherwise returns the value at e = d + 1."""
-    st = module_staircase(n.relations, n.rank)
-    if st is None:
+    dimension of the image of the e-fold composite N -> F^e*N.  Its kernels
+    K_e grow with e, and Frobenius is flat on P (Kunz 1969), so
+    K_(e+1) = gamma^-1(F*K_e) and equal dimensions at two consecutive levels
+    mean equal kernels from then on.  The value is the one at the first 0 or
+    the first repeat, reached within d + 1 levels, d = dim N.  Over a
+    quotient P/I that is not regular the rule is unproven, as in
+    gamma_is_nilpotent."""
+    if module_staircase(n.relations, n.rank) is None:
         raise InfiniteDimensionalError("gen dimension needs a finite "
                                        "dimensional context")
-    d = max(1, len(st))
-    cur = 0
-    for e in range(1, d + 2):
-        it = gamma_iterate(n, e)
-        rels = twisted_relations(n, e, budget)
-        amb = module_staircase(rels, n.rank)
-        if amb is None:
-            raise InfiniteDimensionalError("twisted relations are not "
-                                           "finite dimensional")
-        gens = list(rels.generators)
-        for j in range(n.rank):
-            col = FreeVector(n.ring, (it.matrix[i][j] for i in range(n.rank)))
-            if col:
-                gens.append(col)
-        joint = module_buchberger(gens, n.rank, n.ring, budget) if gens else \
-            GroebnerBasis(n.ring, n.rank, ())
-        sub = module_staircase(joint, n.rank)
-        if sub is None:
-            raise InfiniteDimensionalError("image module is not finite "
-                                           "dimensional")
-        cur = len(amb) - len(sub)
-        if cur == 0:
-            return 0  # non-increasing and bounded below
-    return cur
-
-
-@dataclass(frozen=True)
-class LocalizedGammaSheaf:
-    """gamma on the principal open D(h): the matrix is unchanged because
-    gamma(v/h^s) = gamma(v)/h^(p s) read inside F*(N_h)."""
-
-    base: GammaSheaf
-    h: Polynomial
-
-    @property
-    def matrix(self) -> tuple:
-        return self.base.matrix
-
-    def to_cartier(self, seq=(), budget: int = DEFAULT_SPAIR_BUDGET):
-        return restrict_to_principal_open(
-            twist_to_cartier(self.base, seq, budget=budget), self.h)
-
-
-def gamma_restrict_open(n: GammaSheaf, h: Polynomial) -> LocalizedGammaSheaf:
-    if n.ctx.contains(h):
-        raise ValueError("h lies in the quotient ideal; D(h) misses V(I)")
-    return LocalizedGammaSheaf(n, h)
+    for _, r in _kernel_chain(n, budget):
+        pass
+    return r

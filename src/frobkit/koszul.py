@@ -121,11 +121,14 @@ def _det(mat: list[list[Polynomial]], ctx: RingContext) -> Polynomial:
 def transition_factor(f_seq, g_seq, ctx: RingContext,
                       budget: int = DEFAULT_SPAIR_BUDGET) -> TransitionMatrix:
     """A matrix C with g_i = sum_j C[i][j] f_j and its determinant mod the
-    common ideal.  C is chosen deterministically but is not unique; when f
-    is a regular sequence, det(C) mod I does not depend on the choice."""
+    common ideal.  C is chosen deterministically but is not unique; f must
+    be a regular sequence, which makes det(C) mod I independent of the
+    choice."""
     f_seq, g_seq = list(f_seq), list(g_seq)
     if len(f_seq) != len(g_seq):
         raise ValueError("sequences have different lengths")
+    if not is_regular_sequence(f_seq, ctx, budget):
+        raise ValueError("sequence is not regular")
     fgb = buchberger(f_seq, ctx, budget)
     ggb = buchberger(g_seq, ctx, budget)
     if not submodule_equal(fgb, ggb):

@@ -92,11 +92,6 @@ def rank(rows) -> int:
     return len(rref(rows)[0])
 
 
-def in_span(rows_rref: list[list[FieldElement]], pivots: list[int],
-            v: list[FieldElement]) -> bool:
-    return not any(reduce_against(rows_rref, pivots, v))
-
-
 def reduce_against(rows_rref, pivots, v: list[FieldElement]) -> list[FieldElement]:
     """Residue of v modulo the row space (rows must be in rref)."""
     v = list(v)

@@ -8,8 +8,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .cartier import (CartierModule, crystal_is_zero, is_crystal_supported_on,
-                      is_nilpotent, validate_cartier_structure)
+from .cartier import (CartierModule, is_crystal_supported_on, is_nilpotent,
+                      validate_cartier_structure)
 from .field import FieldSpec
 from .gamma import (GammaSheaf, gamma_is_nilpotent, gen_stable_dimension,
                     twist_to_cartier, twist_to_gamma, validate_gamma_structure)
@@ -200,18 +200,29 @@ def _h_validate(s: Session, cmd: dict) -> dict:
     return {"valid": ok, "violations": [{"relation": g} for g in bad]}
 
 
+def _positive_int(cmd: dict, key: str, default=None) -> int:
+    value = cmd.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise CommandError(f"argument {key!r} must be a positive integer, "
+                           f"not {value!r}")
+    return value
+
+
 def _h_nilpotent(s: Session, cmd: dict) -> dict:
     obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
+    bound = _positive_int(cmd, "bound", 16)
     if isinstance(obj, CartierModule):
         v = is_nilpotent(obj, s.budgets.chain, s.budgets.spair)
     else:
-        v = gamma_is_nilpotent(obj, cmd.get("bound", 16), s.budgets.spair)
+        v = gamma_is_nilpotent(obj, bound, s.budgets.spair)
     return v.to_json()
 
 
 def _h_crystal_zero(s: Session, cmd: dict) -> dict:
+    # a coherent Cartier module is zero as a crystal exactly when it is
+    # nilpotent
     m = s._get(cmd, "target", (CartierModule,))
-    return crystal_is_zero(m, s.budgets.chain, s.budgets.spair).to_json()
+    return is_nilpotent(m, s.budgets.chain, s.budgets.spair).to_json()
 
 
 def _h_supported_on(s: Session, cmd: dict) -> dict:
@@ -298,7 +309,7 @@ def _h_solutions(s: Session, cmd: dict) -> dict:
 
 
 def _h_as_kernel(s: Session, cmd: dict) -> dict:
-    q = int(cmd["q"])
+    q = _positive_int(cmd, "q")
     return {"q": q, "dim": artin_schreier_kernel(q, s.budgets.guard)}
 
 

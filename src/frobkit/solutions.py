@@ -80,11 +80,13 @@ def enumerate_points(ctx: QuotientContext, m: int,
                      guard: int = DEFAULT_GUARD) -> list[RationalPoint]:
     """All alpha in (GF(p^m))^n at which every ideal generator vanishes."""
     base = ctx.ring.field
-    spec = _resolve_point_field(base, m)
     n = ctx.ring.nvars
-    if spec.size ** n > guard:
-        raise GuardExceededError(f"{spec.size ** n} candidate points exceed "
-                                 f"the guard {guard}")
+    # the point field has p^m elements; compare before building it, since
+    # finding its modulus is itself a search
+    if base.p ** (m * n) > guard:
+        raise GuardExceededError(f"{base.p ** (m * n)} candidate points "
+                                 f"exceed the guard {guard}")
+    spec = _resolve_point_field(base, m)
     gens = [g.comps[0] for g in ctx.ideal_gb.generators]
     out = []
     for coords in product(list(spec.elements()), repeat=n):

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from frobkit.cartier import (InfiniteDimensionalError, crystal_is_zero,
+from frobkit.cartier import (InfiniteDimensionalError, is_nilpotent,
                              kappa_apply, volume_cartier_module)
 from frobkit.field import FieldSpec
 from frobkit.gamma import (GammaSheaf, frobenius_twist_root,
                            gamma_is_nilpotent, gamma_iterate,
-                           gamma_restrict_open, gen_stable_dimension,
-                           twist_to_cartier, twist_to_gamma,
-                           validate_gamma_structure)
+                           gen_stable_dimension, twist_to_cartier,
+                           twist_to_gamma, validate_gamma_structure)
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
                               RingContext)
 from frobkit.verify import random_gamma
@@ -149,7 +148,7 @@ def test_nilpotence_matches_crystal_vanishing():
         for _ in range(6):
             n = random_gamma(rng, ctx, 1, max_deg=1)
             g = gamma_is_nilpotent(n)
-            c = crystal_is_zero(twist_to_cartier(n, [x ** 2]))
+            c = is_nilpotent(twist_to_cartier(n, [x ** 2]))
             assert g.is_nilpotent == c.is_nilpotent
 
 
@@ -198,24 +197,3 @@ def test_twist_root_preserves_gen_dimension():
             n = random_gamma(rng, ctx, rng.choice((1, 2)), max_deg=1)
             assert gen_stable_dimension(n) == \
                 gen_stable_dimension(frobenius_twist_root(n))
-
-
-def test_restrict_open_commutes_with_twist():
-    # (O, A=(1)), h=x: both orders give the fixed log form
-    ring = RingContext(FieldSpec(2), ("x",))
-    amb = QuotientContext.trivial(ring)
-    x = Polynomial.variable(ring, "x")
-    n = GammaSheaf.create(amb, 1, [[Polynomial.one(ring)]])
-    loc_gamma = gamma_restrict_open(n, x)
-    assert loc_gamma.matrix == n.matrix
-    route_a = loc_gamma.to_cartier()
-    route_b_base = twist_to_cartier(n)
-    from frobkit.cartier import restrict_to_principal_open
-    route_b = restrict_to_principal_open(route_b_base, x)
-    e = FreeVector.unit(ring, 1, 0)
-    xa = route_a.kappa(route_a.element(e, 1))
-    xb = route_b.kappa(route_b.element(e, 1))
-    assert route_a.elements_equal(xa, xb)
-    with pytest.raises(ValueError):
-        ctxq, xq = quotient(2, 1)
-        gamma_restrict_open(GammaSheaf.create(ctxq, 1, [[xq]]), xq)

@@ -145,6 +145,17 @@ def test_transition_factor_rejects_different_ideals():
         transition_factor([x, y], [x, y * y], r)
 
 
+def test_transition_factor_rejects_non_regular_sequence():
+    # x*z and y*z^2 share the factor z; two valid matrices C for this pair
+    # have determinants 1 and y*z + 1 mod (f), so no determinant is reported
+    r = ring(2, "x", "y", "z")
+    x, y, z = (Polynomial.variable(r, v) for v in "xyz")
+    f_seq = [x * z, y * z ** 2]
+    g_seq = [y * z ** 2, x * y * z ** 2 + y * z ** 2 + x * z]
+    with pytest.raises(ValueError, match="sequence is not regular"):
+        transition_factor(f_seq, g_seq, r)
+
+
 def test_raw_pullbacks_and_determinant():
     # products x*y and y*x coincide, so the raw structures agree on the nose,
     # while the transition determinant is -1; the mult-by-det map intertwines

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,6 +122,41 @@ def test_artin_schreier_size_error_carries_message():
         {"op": "as-kernel", "q": 1}]))
     assert reports[0]["status"] == "error"
     assert reports[0]["error"] == "1 is not a prime power"
+
+
+def test_bad_bound_is_a_structured_error():
+    for ideal in ([], ["x^2"]):
+        data = base_session(ideal=ideal, commands=[
+            {"op": "nilpotent", "target": "N1", "bound": bad}
+            for bad in ("abc", 0, -3, True, 2.5)])
+        reports = run_session(data)
+        assert [r["status"] for r in reports] == ["error"] * 5
+        assert reports[0]["error"] == ("argument 'bound' must be a positive "
+                                       "integer, not 'abc'")
+        assert reports[3]["error"].endswith("not True")
+
+
+def test_bad_q_is_a_structured_error():
+    reports = run_session(base_session(commands=[
+        {"op": "as-kernel", "q": "x"}, {"op": "as-kernel"},
+        {"op": "as-kernel", "q": False}]))
+    assert [r["error"] for r in reports] == [
+        "argument 'q' must be a positive integer, not 'x'",
+        "argument 'q' must be a positive integer, not None",
+        "argument 'q' must be a positive integer, not False"]
+
+
+def test_point_guard_fires_before_the_field_is_built():
+    # GF(7^14) would need an exhaustive search for its modulus; 7^14
+    # candidate points exceed the guard, which must be seen first
+    start = time.perf_counter()
+    reports = run_session(base_session(field={"p": 7}, objects={
+        "N1": {"gamma": {"rank": 1, "matrix": [["1"]]}}}, commands=[
+        {"op": "solutions", "target": "N1", "m": 14}]))
+    assert time.perf_counter() - start < 1.0
+    assert reports[0]["status"] == "error"
+    assert reports[0]["error"] == (f"{7 ** 14} candidate points exceed the "
+                                   f"guard 1000000")
 
 
 def test_reports_are_deterministic():
