@@ -155,17 +155,21 @@ def _image_dimension(n: GammaSheaf, it: GammaIterate, budget: int) -> int:
     return len(amb) - len(module_staircase(joint, n.rank))
 
 
-def _kernel_chain(n: GammaSheaf, budget: int):
-    """Yield (composite, image dimension) for e = 1, 2, ... over a
-    finite-dimensional N, up to the first dimension 0 or the first value
-    equal to the one before it."""
-    prev = None
-    for it in _iterates(n):
+def _kernel_chain(n: GammaSheaf, budget: int) -> list:
+    """(composite, image dimension) for e = 1, 2, ... over a
+    finite-dimensional N, up to the stopping rule of gen_stable_dimension."""
+    st = module_staircase(n.relations, n.rank)
+    # N is a quotient of R^s, so it is R^s exactly when dim N = s dim R
+    free = len(st) == n.rank * (n.ctx.dimension() or 0)
+    stop_on_repeat = n.ctx.is_ambient or free
+    chain = []
+    for it in islice(_iterates(n), max(1, len(st)) + 1):
         r = _image_dimension(n, it, budget)
-        yield it, r
-        if r == 0 or r == prev:
-            return
-        prev = r
+        chain.append((it, r))
+        if r == 0 or (stop_on_repeat and len(chain) > 1
+                      and r == chain[-2][1]):
+            break
+    return chain
 
 
 def _columns_vanish(n: GammaSheaf, it: GammaIterate,
@@ -177,18 +181,13 @@ def _columns_vanish(n: GammaSheaf, it: GammaIterate,
 def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16,
                        budget: int = DEFAULT_SPAIR_BUDGET) -> NilpotenceVerdict:
     """Smallest e with the e-fold composite vanishing into F^e*N.  When N is
-    a finite-dimensional k-space ``e_max`` is not used: the kernels K_e of
-    the composites grow with e, and Frobenius is flat on P (Kunz 1969), so
-    K_(e+1) = gamma^-1(F*K_e) and equal image dimensions at two consecutive
-    levels mean equal kernels from then on.  The index is the level of the
-    first image dimension 0; a nonzero repeat means not nilpotent.  Over a
-    quotient P/I that is not regular its Frobenius is not flat and the rule
-    is unproven: it matches the full loop for free N, but can stop too
-    early for other N.  When N is infinite dimensional the search runs over
-    e = 1, ..., e_max."""
+    a finite-dimensional k-space ``e_max`` is not used: the index is the
+    level of the first image dimension 0 under the stopping rule of
+    gen_stable_dimension (over P, and for free N, a repeated value means
+    equal kernels from then on, hence not nilpotent; see there for why).
+    When N is infinite dimensional the search runs over e = 1, ..., e_max."""
     if module_staircase(n.relations, n.rank) is not None:
-        for it, r in _kernel_chain(n, budget):
-            pass
+        it, r = _kernel_chain(n, budget)[-1]
         return (NilpotenceVerdict.nilpotent(it.level) if r == 0
                 else NilpotenceVerdict.not_nilpotent())
     for it in islice(_iterates(n), e_max):
@@ -286,16 +285,16 @@ def frobenius_twist_root(n: GammaSheaf,
 def gen_stable_dimension(n: GammaSheaf, budget: int = DEFAULT_SPAIR_BUDGET
                          ) -> int:
     """k-dimension of the unit module generated by the root: the eventual
-    dimension of the image of the e-fold composite N -> F^e*N.  Its kernels
-    K_e grow with e, and Frobenius is flat on P (Kunz 1969), so
-    K_(e+1) = gamma^-1(F*K_e) and equal dimensions at two consecutive levels
-    mean equal kernels from then on.  The value is the one at the first 0 or
-    the first repeat, reached within d + 1 levels, d = dim N.  Over a
-    quotient P/I that is not regular the rule is unproven, as in
-    gamma_is_nilpotent."""
+    dimension r_e of the image of the e-fold composite N -> F^e*N, read for
+    e = 1, 2, ... up to the first 0 or, at the latest, e = d + 1
+    (d = dim N).  The kernels K_e grow with e.  Over P Frobenius is flat
+    (Kunz 1969), so K_(e+1) = gamma^-1(F*K_e), and two equal consecutive
+    values mean equal kernels from then on: there the first repeated value
+    is returned.  Over a quotient P/I the repeat rule is used only for free
+    N (relations I e_j); where P/I is not regular, Frobenius is not flat and
+    the rule is observed there but unproven.  Other N over a quotient run on
+    to e = d + 1, which can still be too early where P/I is not regular."""
     if module_staircase(n.relations, n.rank) is None:
         raise InfiniteDimensionalError("gen dimension needs a finite "
                                        "dimensional context")
-    for _, r in _kernel_chain(n, budget):
-        pass
-    return r
+    return _kernel_chain(n, budget)[-1][1]

@@ -210,11 +210,11 @@ def _positive_int(cmd: dict, key: str, default=None) -> int:
 
 def _h_nilpotent(s: Session, cmd: dict) -> dict:
     obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
-    bound = _positive_int(cmd, "bound", 16)
     if isinstance(obj, CartierModule):
         v = is_nilpotent(obj, s.budgets.chain, s.budgets.spair)
     else:
-        v = gamma_is_nilpotent(obj, bound, s.budgets.spair)
+        v = gamma_is_nilpotent(obj, _positive_int(cmd, "bound", 16),
+                               s.budgets.spair)
     return v.to_json()
 
 

@@ -1,5 +1,6 @@
 """The kernel chain behind gen_stable_dimension and gamma_is_nilpotent,
 checked against the full loop over e = 1, ..., d + 1 written out here."""
+import math
 import random
 
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from frobkit.field import FieldSpec
 from frobkit.gamma import (GammaSheaf, _kernel_chain, gamma_is_nilpotent,
                            gamma_iterate, gen_stable_dimension,
-                           twisted_relations)
+                           twisted_relations, validate_gamma_structure)
 from frobkit.polyring import (DEFAULT_SPAIR_BUDGET, FreeVector, Polynomial,
                               QuotientContext, RingContext, module_buchberger,
                               module_staircase)
@@ -21,16 +22,33 @@ def fat_point(p, names, k):
     return QuotientContext.from_generators(ring, gens)
 
 
-def random_root(seed, p, names, k, rank):
+def random_root(seed, p, names, k, rank, ambient, boxes):
+    """A root whose component i is cut down to the box of side lengths
+    boxes[i] by the relations x_w^c e_i, over P or over P/(x_w^k).  Entry
+    A_ij carries prod_w x_w^max(0, t_iw - c_jw), t_iw = p c_iw (at most k
+    over the quotient), so gamma maps every relation into the twisted
+    relations and the root is well defined."""
     rng = random.Random(seed)
-    ctx = fat_point(p, names, k)
-    ring = ctx.ring
-    # a constant part in some entries keeps non-nilpotent roots common
-    mat = [[random_polynomial(rng, ring, k - 1, 2)
-            + Polynomial.constant(ring, rng.randrange(p)
-                                  if rng.random() < 0.5 else 0)
-            for _ in range(rank)] for _ in range(rank)]
-    return GammaSheaf.create(ctx, rank, mat)
+    ring = RingContext(FieldSpec(p), names)
+    ctx = QuotientContext.trivial(ring) if ambient else fat_point(p, names, k)
+    xs = [Polynomial.variable(ring, v) for v in names]
+    rels = [FreeVector.unit(ring, rank, i, xs[w] ** c)
+            for i, box in enumerate(boxes) for w, c in enumerate(box)]
+    mat = []
+    for i in range(rank):
+        t = [p * c if ambient else min(p * c, k) for c in boxes[i]]
+        row = []
+        for j in range(rank):
+            shift = Polynomial.one(ring)
+            for w in range(len(names)):
+                shift = shift * xs[w] ** max(0, t[w] - boxes[j][w])
+            # a constant part in some entries keeps non-nilpotent roots common
+            entry = (random_polynomial(rng, ring, k - 1, 2)
+                     + Polynomial.constant(ring, rng.randrange(p)
+                                           if rng.random() < 0.5 else 0))
+            row.append(shift * entry)
+        mat.append(row)
+    return GammaSheaf.create(ctx, rank, mat, rels)
 
 
 def reference_composite(n, e):
@@ -64,7 +82,7 @@ def full_loop(n):
         dims.append(image_dimension(n, reference_composite(n, e), e))
         if dims[-1] == 0:
             break
-    return d, dims
+    return dims
 
 
 def chain_prefix(dims):
@@ -77,31 +95,50 @@ def chain_prefix(dims):
     raise AssertionError(f"no 0 and no repeat in {dims}")
 
 
+def _boxes(ring):
+    """Side lengths of each component's box: 1..k over P, where a total
+    volume d above 5 makes the reference's composites too large (degree
+    about p^(d+1)); over the quotient, sides all equal to k make N free."""
+    p, names, k, ambient = ring
+    side = st.integers(1, k)
+    boxes = st.lists(st.tuples(*[side] * len(names)), min_size=1, max_size=2)
+    if ambient:
+        return boxes.filter(lambda bs: sum(math.prod(b) for b in bs) <= 5)
+    return boxes
+
+
+over_p = st.sampled_from([True, False, False])
 roots = st.one_of(
-    st.tuples(st.just(2), st.just(("x", "y")), st.integers(1, 3)),
-    st.tuples(st.just(3), st.just(("x",)), st.integers(1, 5)),
+    st.tuples(st.just(2), st.just(("x", "y")), st.integers(1, 3), over_p),
+    st.tuples(st.just(3), st.just(("x",)), st.integers(1, 5), over_p),
 ).flatmap(lambda ring: st.tuples(st.integers(0, 2 ** 32), st.just(ring),
-                                 st.integers(1, 2)))
+                                 _boxes(ring)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(roots)
 def test_chain_matches_full_loop(case):
-    seed, (p, names, k), rank = case
-    n = random_root(seed, p, names, k, rank)
-    d, dims = full_loop(n)
-    chain = list(_kernel_chain(n, DEFAULT_SPAIR_BUDGET))
-    assert [r for _, r in chain] == chain_prefix(dims)
+    seed, (p, names, k, ambient), boxes = case
+    n = random_root(seed, p, names, k, len(boxes), ambient, boxes)
+    assert validate_gamma_structure(n)
+    dims = full_loop(n)
+    chain = _kernel_chain(n, DEFAULT_SPAIR_BUDGET)
+    # a repeat ends the chain over P and for free N only
+    free = not ambient and all(c == k for box in boxes for c in box)
+    expected = chain_prefix(dims) if ambient or free else dims
+    assert [r for _, r in chain] == expected
     for it, _ in chain:
         assert it.matrix == reference_composite(n, it.level)
         assert it.matrix == gamma_iterate(n, it.level).matrix
+    # the chain often stops at e = 2; the full loop's last level goes deeper
+    last = len(dims)
+    assert gamma_iterate(n, last).matrix == reference_composite(n, last)
     assert gen_stable_dimension(n) == dims[-1]
     verdict = gamma_is_nilpotent(n)
-    index = next((e for e, r in enumerate(dims[:d], 1) if r == 0), None)
-    if index is None:
+    if dims[-1]:
         assert verdict.status == "not_nilpotent"
     else:
-        assert verdict.is_nilpotent and verdict.index == index
+        assert verdict.is_nilpotent and verdict.index == len(dims)
 
 
 def test_chain_stops_at_first_repeat():
@@ -113,3 +150,30 @@ def test_chain_stops_at_first_repeat():
     assert [(it.level, r) for it, r in _kernel_chain(n, DEFAULT_SPAIR_BUDGET)] \
         == [(1, 8), (2, 8)]
     assert gen_stable_dimension(n) == 8
+
+
+def test_non_free_chain_runs_past_a_repeat():
+    # over GF(2)[x]/(x^5), N = (R/(x))^2 with gamma = x I has image
+    # dimensions 2, 2, 0 (d = 2): the composite x^7 vanishes at e = 3
+    ctx = fat_point(2, ("x",), 5)
+    x, zero = Polynomial.variable(ctx.ring, "x"), Polynomial.zero(ctx.ring)
+    rels = [FreeVector.unit(ctx.ring, 2, j, x) for j in range(2)]
+    n = GammaSheaf.create(ctx, 2, [[x, zero], [zero, x]], rels)
+    assert validate_gamma_structure(n)
+    assert [r for _, r in _kernel_chain(n, DEFAULT_SPAIR_BUDGET)] == [2, 2, 0]
+    assert gen_stable_dimension(n) == 0
+    verdict = gamma_is_nilpotent(n)
+    assert verdict.is_nilpotent and verdict.index == 3
+
+
+def test_non_free_nilpotence_index_past_dim():
+    # over GF(3)[x]/(x^4), N = R/(x) with gamma = x^2 (d = 1): the composite
+    # x^8 vanishes at e = 2 = d + 1
+    ctx = fat_point(3, ("x",), 4)
+    x = Polynomial.variable(ctx.ring, "x")
+    n = GammaSheaf.create(ctx, 1, [[x ** 2]], [FreeVector.unit(ctx.ring, 1,
+                                                               0, x)])
+    assert validate_gamma_structure(n)
+    assert [r for _, r in _kernel_chain(n, DEFAULT_SPAIR_BUDGET)] == [1, 0]
+    verdict = gamma_is_nilpotent(n)
+    assert verdict.is_nilpotent and verdict.index == 2

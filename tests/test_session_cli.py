@@ -134,6 +134,8 @@ def test_bad_bound_is_a_structured_error():
         assert reports[0]["error"] == ("argument 'bound' must be a positive "
                                        "integer, not 'abc'")
         assert reports[3]["error"].endswith("not True")
+    # a Cartier target does not read the bound
+    run_ok([{"op": "nilpotent", "target": "Z", "bound": "abc"}])
 
 
 def test_bad_q_is_a_structured_error():
