@@ -13,11 +13,11 @@ from typing import Optional
 from . import linalg
 from .field import FieldElement, FieldSpec, frobenius, frobenius_root
 from .frobenius import pth_root_decompose, residue_exponents
-from .polyring import (DEFAULT_SPAIR_BUDGET, BudgetExceededError, FreeVector,
-                       GroebnerBasis, Monomial, Polynomial, QuotientContext,
-                       RankMismatchError, RingContext, module_buchberger,
-                       module_staircase, normal_form, saturate,
-                       submodule_equal)
+from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
+                       Monomial, Polynomial, QuotientContext,
+                       RankMismatchError, RingContext, current_limits,
+                       module_buchberger, module_staircase, normal_form,
+                       saturate, submodule_equal)
 
 
 class InvalidStructureError(ValueError):
@@ -87,16 +87,15 @@ class CartierModule:
 
     @classmethod
     def create(cls, ctx: QuotientContext, rank: int,
-               relation_vectors=(), table: Optional[dict] = None,
-               budget: int = DEFAULT_SPAIR_BUDGET) -> "CartierModule":
+               relation_vectors=(), table: Optional[dict] = None
+               ) -> "CartierModule":
         ring = ctx.ring
         gens = list(relation_vectors)
         for g in ctx.ideal_gb.generators:
             f = g.comps[0]
             for j in range(rank):
                 gens.append(FreeVector.unit(ring, rank, j, f))
-        relations = (module_buchberger(gens, rank, ring, budget) if gens
-                     else GroebnerBasis(ring, rank, ()))
+        relations = module_buchberger(gens, rank, ring)
         clean = {}
         if table:
             for (j, a), v in table.items():
@@ -189,11 +188,12 @@ def _full_module_basis(m: CartierModule) -> GroebnerBasis:
     return module_buchberger(gens, m.rank, m.ring)
 
 
-def stable_image(m: CartierModule, max_levels: int = 64,
-                 budget: int = DEFAULT_SPAIR_BUDGET) -> StableImageResult:
+def stable_image(m: CartierModule) -> StableImageResult:
     """Compute the chain M >= kappa(F_*M) >= kappa^2(F_*^2 M) >= ... until two
     consecutive levels generate the same submodule; the chain is constant from
-    there on, so the result is the stable image."""
+    there on, so the result is the stable image.  Raises BudgetExceededError
+    after ``current_limits().chain`` levels."""
+    max_levels = current_limits().chain
     one = m.ring.field.one()
     chain = [_full_module_basis(m)]
     for level in range(1, max_levels + 1):
@@ -203,8 +203,7 @@ def stable_image(m: CartierModule, max_levels: int = 64,
                 w = m.nf(kappa_lift(m, u.term_mul(a, one)))
                 if w:
                     gens.append(w)
-        nxt = (module_buchberger(gens, m.rank, m.ring, budget) if gens
-               else GroebnerBasis(m.ring, m.rank, ()))
+        nxt = module_buchberger(gens, m.rank, m.ring)
         if submodule_equal(nxt, chain[-1]):
             # chain value at level-1 already equals the limit
             return StableImageResult(tuple(chain) + (nxt,), level - 1, nxt)
@@ -213,11 +212,10 @@ def stable_image(m: CartierModule, max_levels: int = 64,
                               "levels")
 
 
-def is_nilpotent(m: CartierModule, max_levels: int = 64,
-                 budget: int = DEFAULT_SPAIR_BUDGET) -> NilpotenceVerdict:
+def is_nilpotent(m: CartierModule) -> NilpotenceVerdict:
     """Nilpotent iff the stable image collapses to the relation submodule."""
     try:
-        result = stable_image(m, max_levels, budget)
+        result = stable_image(m)
     except BudgetExceededError:
         return NilpotenceVerdict.budget_exceeded()
     if submodule_equal(result.stable, m.relations):
@@ -225,24 +223,16 @@ def is_nilpotent(m: CartierModule, max_levels: int = 64,
     return NilpotenceVerdict.not_nilpotent()
 
 
-def is_crystal_supported_on(m: CartierModule, j_gens: list[Polynomial],
-                            max_levels: int = 64,
-                            budget: int = DEFAULT_SPAIR_BUDGET) -> bool:
+def is_crystal_supported_on(m: CartierModule,
+                            j_gens: list[Polynomial]) -> bool:
     """True when the restriction of M to the complement of V(J) is nilpotent:
     every stable-image generator must be killed by a power of each generator
     of J (membership in the h-saturation of the relations)."""
-    result = stable_image(m, max_levels, budget)
+    result = stable_image(m)
     for h in j_gens:
         if h.is_zero():
             continue
-        sat = saturate(m.relations, h, budget) if m.relations.generators else \
-            m.relations
-        if not m.relations.generators:
-            # no relations: saturation of 0 is 0, so every nonzero stable
-            # generator fails
-            if any(not g.is_zero() for g in result.stable.generators):
-                return False
-            continue
+        sat = saturate(m.relations, h)
         for g in result.stable.generators:
             if not normal_form(g, sat).is_zero():
                 return False
@@ -294,8 +284,6 @@ class LocalizedCartierModule:
         relations (the kernel of M -> M_h)."""
         diff = (x.numerator.scale(self.h ** y.power)
                 - y.numerator.scale(self.h ** x.power))
-        if not self.saturated.generators:
-            return diff.is_zero()
         return normal_form(diff, self.saturated).is_zero()
 
 
@@ -303,9 +291,7 @@ def restrict_to_principal_open(m: CartierModule,
                                h: Polynomial) -> LocalizedCartierModule:
     if m.ctx.contains(h):
         raise ValueError("h lies in the quotient ideal; D(h) misses V(I)")
-    sat = (saturate(m.relations, h) if m.relations.generators
-           else m.relations)
-    return LocalizedCartierModule(m, h, sat)
+    return LocalizedCartierModule(m, h, saturate(m.relations, h))
 
 
 # ---------------------------------------------------------------------------

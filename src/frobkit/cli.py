@@ -9,7 +9,8 @@ import json
 import sys
 import time
 
-from .session import (Budgets, SessionError, load_session_file, run_session)
+from .polyring import Limits
+from .session import SessionError, load_session_file, run_session
 from .verify import run_verify
 
 
@@ -23,11 +24,11 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("session", help="path to a session JSON file")
     runp.add_argument("--out", help="write JSON-lines reports to this path "
                       "instead of stdout")
-    runp.add_argument("--spair-budget", type=int, default=Budgets.spair,
+    runp.add_argument("--spair-budget", type=int, default=Limits.spair,
                       help="Groebner S-pair budget")
-    runp.add_argument("--chain-budget", type=int, default=Budgets.chain,
+    runp.add_argument("--chain-budget", type=int, default=Limits.chain,
                       help="image-chain level budget")
-    runp.add_argument("--guard", type=int, default=Budgets.guard,
+    runp.add_argument("--guard", type=int, default=Limits.guard,
                       help="point/solution enumeration guard")
 
     verp = sub.add_parser("verify", help="run the built-in property battery")
@@ -52,9 +53,9 @@ def _cmd_run(args) -> int:
     started = time.monotonic()
     try:
         data = load_session_file(args.session)
-        budgets = Budgets(spair=args.spair_budget, chain=args.chain_budget,
-                          guard=args.guard)
-        reports = run_session(data, budgets)
+        limits = Limits(spair=args.spair_budget, chain=args.chain_budget,
+                        guard=args.guard)
+        reports = run_session(data, limits)
     except (OSError, SessionError) as exc:
         print(json.dumps({"status": "error", "error": str(exc)}))
         print(f"session rejected: {exc}", file=sys.stderr)

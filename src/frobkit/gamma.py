@@ -13,11 +13,10 @@ from itertools import islice, product
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict)
 from .frobenius import cartier_volume, pth_root_decompose
-from .polyring import (DEFAULT_SPAIR_BUDGET, FreeVector, GroebnerBasis,
-                       Polynomial, QuotientContext, RankMismatchError,
-                       RingContext, buchberger, is_regular_sequence,
-                       module_buchberger, module_staircase, normal_form,
-                       submodule_equal)
+from .polyring import (FreeVector, GroebnerBasis, Polynomial,
+                       QuotientContext, RankMismatchError, RingContext,
+                       buchberger, is_regular_sequence, module_buchberger,
+                       module_staircase, normal_form, submodule_equal)
 
 
 class GammaSheaf:
@@ -35,8 +34,7 @@ class GammaSheaf:
 
     @classmethod
     def create(cls, ctx: QuotientContext, rank: int, matrix,
-               relation_vectors=(), budget: int = DEFAULT_SPAIR_BUDGET
-               ) -> "GammaSheaf":
+               relation_vectors=()) -> "GammaSheaf":
         ring = ctx.ring
         if len(matrix) != rank or any(len(row) != rank for row in matrix):
             raise RankMismatchError(f"matrix must be {rank}x{rank}")
@@ -45,8 +43,7 @@ class GammaSheaf:
             f = g.comps[0]
             for j in range(rank):
                 gens.append(FreeVector.unit(ring, rank, j, f))
-        relations = (module_buchberger(gens, rank, ring, budget) if gens
-                     else GroebnerBasis(ring, rank, ()))
+        relations = module_buchberger(gens, rank, ring)
         mat = tuple(tuple(ctx.nf(entry) for entry in row) for row in matrix)
         return cls(ctx, rank, relations, mat)
 
@@ -62,8 +59,7 @@ def _twist_vector(v: FreeVector, k: int) -> FreeVector:
     return FreeVector(v.ctx, (c.frobenius_twist(k) for c in v.comps))
 
 
-def twisted_relations(n: GammaSheaf, level: int,
-                      budget: int = DEFAULT_SPAIR_BUDGET) -> GroebnerBasis:
+def twisted_relations(n: GammaSheaf, level: int) -> GroebnerBasis:
     """Presentation of the level-fold Frobenius pullback F^(level)*N: the
     [p^level]-twists of the relations together with I e_j."""
     ring = n.ring
@@ -72,8 +68,7 @@ def twisted_relations(n: GammaSheaf, level: int,
         f = g.comps[0]
         for j in range(n.rank):
             gens.append(FreeVector.unit(ring, n.rank, j, f))
-    return (module_buchberger(gens, n.rank, ring, budget) if gens
-            else GroebnerBasis(ring, n.rank, ()))
+    return module_buchberger(gens, n.rank, ring)
 
 
 def validate_gamma_structure(n: GammaSheaf, collect: bool = False):
@@ -90,11 +85,7 @@ def validate_gamma_structure(n: GammaSheaf, collect: bool = False):
                 acc = acc + n.matrix[i][j] * rho.comps[j]
             comps.append(acc)
         image = FreeVector(n.ring, comps)
-        if tw.generators and not normal_form(image, tw).is_zero():
-            violations.append(gi)
-            if not collect:
-                return False
-        elif not tw.generators and not image.is_zero():
+        if not normal_form(image, tw).is_zero():
             violations.append(gi)
             if not collect:
                 return False
@@ -142,20 +133,20 @@ def _columns(n: GammaSheaf, it: GammaIterate) -> list:
             for j in range(n.rank)]
 
 
-def _image_dimension(n: GammaSheaf, it: GammaIterate, budget: int) -> int:
+def _image_dimension(n: GammaSheaf, it: GammaIterate) -> int:
     """k-dimension of the image of the composite in F^e*N:
     dim(P^s/rels_e) - dim(P^s/(columns + rels_e))."""
-    rels = twisted_relations(n, it.level, budget)
+    rels = twisted_relations(n, it.level)
     amb = module_staircase(rels, n.rank)
     if amb is None:
         raise InfiniteDimensionalError("twisted relations are not "
                                        "finite dimensional")
     joint = module_buchberger(list(rels.generators) + _columns(n, it),
-                              n.rank, n.ring, budget)
+                              n.rank, n.ring)
     return len(amb) - len(module_staircase(joint, n.rank))
 
 
-def _kernel_chain(n: GammaSheaf, budget: int) -> list:
+def _kernel_chain(n: GammaSheaf) -> list:
     """(composite, image dimension) for e = 1, 2, ... over a
     finite-dimensional N, up to the stopping rule of gen_stable_dimension."""
     st = module_staircase(n.relations, n.rank)
@@ -164,7 +155,7 @@ def _kernel_chain(n: GammaSheaf, budget: int) -> list:
     stop_on_repeat = n.ctx.is_ambient or free
     chain = []
     for it in islice(_iterates(n), max(1, len(st)) + 1):
-        r = _image_dimension(n, it, budget)
+        r = _image_dimension(n, it)
         chain.append((it, r))
         if r == 0 or (stop_on_repeat and len(chain) > 1
                       and r == chain[-2][1]):
@@ -172,14 +163,12 @@ def _kernel_chain(n: GammaSheaf, budget: int) -> list:
     return chain
 
 
-def _columns_vanish(n: GammaSheaf, it: GammaIterate,
-                    budget: int = DEFAULT_SPAIR_BUDGET) -> bool:
-    tw = twisted_relations(n, it.level, budget)
+def _columns_vanish(n: GammaSheaf, it: GammaIterate) -> bool:
+    tw = twisted_relations(n, it.level)
     return all(normal_form(col, tw).is_zero() for col in _columns(n, it))
 
 
-def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16,
-                       budget: int = DEFAULT_SPAIR_BUDGET) -> NilpotenceVerdict:
+def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16) -> NilpotenceVerdict:
     """Smallest e with the e-fold composite vanishing into F^e*N.  When N is
     a finite-dimensional k-space ``e_max`` is not used: the index is the
     level of the first image dimension 0 under the stopping rule of
@@ -187,11 +176,11 @@ def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16,
     equal kernels from then on, hence not nilpotent; see there for why).
     When N is infinite dimensional the search runs over e = 1, ..., e_max."""
     if module_staircase(n.relations, n.rank) is not None:
-        it, r = _kernel_chain(n, budget)[-1]
+        it, r = _kernel_chain(n)[-1]
         return (NilpotenceVerdict.nilpotent(it.level) if r == 0
                 else NilpotenceVerdict.not_nilpotent())
     for it in islice(_iterates(n), e_max):
-        if _columns_vanish(n, it, budget):
+        if _columns_vanish(n, it):
             return NilpotenceVerdict.nilpotent(it.level)
     return NilpotenceVerdict.not_nilpotent_up_to(e_max)
 
@@ -199,8 +188,7 @@ def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16,
 # ---------------------------------------------------------------------------
 # the dualizing twist
 
-def _check_sequence(ctx: QuotientContext, seq,
-                    budget: int = DEFAULT_SPAIR_BUDGET) -> None:
+def _check_sequence(ctx: QuotientContext, seq) -> None:
     if ctx.is_ambient:
         if seq:
             raise ValueError("ambient context takes no sequence")
@@ -208,22 +196,22 @@ def _check_sequence(ctx: QuotientContext, seq,
     if not seq:
         raise ValueError("quotient context needs a regular-sequence "
                          "presentation of its ideal")
-    if not is_regular_sequence(list(seq), ctx.ring, budget):
+    if not is_regular_sequence(list(seq), ctx.ring):
         raise ValueError("sequence is not regular")
-    if not submodule_equal(buchberger(list(seq), ctx.ring, budget),
+    if not submodule_equal(buchberger(list(seq), ctx.ring),
                            ctx.ideal_gb):
         raise ValueError("sequence does not generate the quotient ideal")
 
 
-def twist_to_cartier(n: GammaSheaf, seq=(), method: str = "projection",
-                     budget: int = DEFAULT_SPAIR_BUDGET) -> CartierModule:
+def twist_to_cartier(n: GammaSheaf, seq=(),
+                     method: str = "projection") -> CartierModule:
     """The Cartier structure on N tensor omega.  Over the ambient ring the
     table is kappa(x^a e_j) = sum_i cartier_volume(A_ij x^a) e_i; over a
     quotient presented by a regular sequence f_1..f_c the Koszul dualizing
     factor (f_1...f_c)^(p-1) multiplies in.  ``method`` selects between the
     volume-form route ("projection") and the dual-basis route ("dual"); both
     produce the same table."""
-    _check_sequence(n.ctx, seq, budget)
+    _check_sequence(n.ctx, seq)
     ring = n.ring
     p = ring.field.p
     factor = math.prod(seq, start=Polynomial.one(ring)) ** (p - 1)
@@ -245,12 +233,10 @@ def twist_to_cartier(n: GammaSheaf, seq=(), method: str = "projection",
             v = FreeVector(ring, comps)
             if v:
                 table[(j, a)] = v
-    return CartierModule.create(n.ctx, n.rank, n.relations.generators, table,
-                                budget)
+    return CartierModule.create(n.ctx, n.rank, n.relations.generators, table)
 
 
-def twist_to_gamma(m: CartierModule,
-                   budget: int = DEFAULT_SPAIR_BUDGET) -> GammaSheaf:
+def twist_to_gamma(m: CartierModule) -> GammaSheaf:
     """Inverse twist over the ambient ring: the unique matrix A with
     kappa(f e_j tensor dx) = sum_i cartier_volume(A_ij f) e_i, recovered from
     the table as A_ij = sum_a (c_ij^(a))^[p] x^(p-1-a) with c the e_i
@@ -270,20 +256,17 @@ def twist_to_gamma(m: CartierModule,
             if comp:
                 rows[i][j] = rows[i][j] + comp.frobenius_twist().term_mul(
                     shift, one)
-    return GammaSheaf.create(m.ctx, m.rank, rows, m.relations.generators,
-                             budget)
+    return GammaSheaf.create(m.ctx, m.rank, rows, m.relations.generators)
 
 
-def frobenius_twist_root(n: GammaSheaf,
-                         budget: int = DEFAULT_SPAIR_BUDGET) -> GammaSheaf:
+def frobenius_twist_root(n: GammaSheaf) -> GammaSheaf:
     """(F*N, F*gamma): twist the relations and the matrix entrywise by [p]."""
     rels = [_twist_vector(g, 1) for g in n.relations.generators]
     mat = [[x.frobenius_twist() for x in row] for row in n.matrix]
-    return GammaSheaf.create(n.ctx, n.rank, mat, rels, budget)
+    return GammaSheaf.create(n.ctx, n.rank, mat, rels)
 
 
-def gen_stable_dimension(n: GammaSheaf, budget: int = DEFAULT_SPAIR_BUDGET
-                         ) -> int:
+def gen_stable_dimension(n: GammaSheaf) -> int:
     """k-dimension of the unit module generated by the root: the eventual
     dimension r_e of the image of the e-fold composite N -> F^e*N, read for
     e = 1, 2, ... up to the first 0 or, at the latest, e = d + 1
@@ -297,4 +280,4 @@ def gen_stable_dimension(n: GammaSheaf, budget: int = DEFAULT_SPAIR_BUDGET
     if module_staircase(n.relations, n.rank) is None:
         raise InfiniteDimensionalError("gen dimension needs a finite "
                                        "dimensional context")
-    return _kernel_chain(n, budget)[-1][1]
+    return _kernel_chain(n)[-1][1]

@@ -10,10 +10,9 @@ from itertools import product
 
 from .cartier import CartierModule, kappa_apply, volume_cartier_module
 from .gamma import GammaSheaf, twist_to_cartier
-from .polyring import (DEFAULT_SPAIR_BUDGET, FreeVector, Polynomial,
-                       QuotientContext, RingContext, buchberger,
-                       is_regular_sequence, module_buchberger, normal_form,
-                       submodule_equal)
+from .polyring import (FreeVector, Polynomial, QuotientContext, RingContext,
+                       buchberger, is_regular_sequence, module_buchberger,
+                       normal_form, submodule_equal)
 
 
 @dataclass(frozen=True)
@@ -26,12 +25,11 @@ class ClosedImmersion:
     target: QuotientContext
 
     @classmethod
-    def create(cls, ambient: RingContext, seq,
-               budget: int = DEFAULT_SPAIR_BUDGET) -> "ClosedImmersion":
+    def create(cls, ambient: RingContext, seq) -> "ClosedImmersion":
         seq = tuple(seq)
-        if not is_regular_sequence(list(seq), ambient, budget):
+        if not is_regular_sequence(list(seq), ambient):
             raise ValueError("sequence is not regular")
-        target = QuotientContext.from_generators(ambient, seq, budget)
+        target = QuotientContext.from_generators(ambient, seq)
         return cls(ambient, seq, target)
 
     @property
@@ -42,8 +40,7 @@ class ClosedImmersion:
         return math.prod(self.seq, start=Polynomial.one(self.ambient))
 
 
-def cartier_pullback(m: CartierModule, im: ClosedImmersion,
-                     budget: int = DEFAULT_SPAIR_BUDGET) -> CartierModule:
+def cartier_pullback(m: CartierModule, im: ClosedImmersion) -> CartierModule:
     """The induced Cartier module on M/IM for I = (f_1..f_c):
     kappa'(x^a e_j) = kappa((f_1...f_c)^(p-1) x^a e_j), relations extended by
     I e_j."""
@@ -66,20 +63,18 @@ def cartier_pullback(m: CartierModule, im: ClosedImmersion,
     else:
         combined = [g.comps[0] for g in m.ctx.ideal_gb.generators]
         combined.extend(im.seq)
-        target = QuotientContext.from_generators(ring, combined, budget)
+        target = QuotientContext.from_generators(ring, combined)
     return CartierModule.create(target, m.rank, m.relations.generators,
-                                table, budget)
+                                table)
 
 
-def dualizing_module(im: ClosedImmersion,
-                     budget: int = DEFAULT_SPAIR_BUDGET) -> CartierModule:
+def dualizing_module(im: ClosedImmersion) -> CartierModule:
     """omega of the complete-intersection quotient: the pullback of the
     ambient volume-form module along the immersion."""
-    return cartier_pullback(volume_cartier_module(im.ambient), im, budget)
+    return cartier_pullback(volume_cartier_module(im.ambient), im)
 
 
-def gamma_pullback(n: GammaSheaf, im: ClosedImmersion,
-                   budget: int = DEFAULT_SPAIR_BUDGET) -> GammaSheaf:
+def gamma_pullback(n: GammaSheaf, im: ClosedImmersion) -> GammaSheaf:
     """Pull a gamma-sheaf over the ambient ring back to the quotient: same
     matrix reduced mod I, relations extended by I e_j."""
     if n.ring != im.ambient:
@@ -88,7 +83,7 @@ def gamma_pullback(n: GammaSheaf, im: ClosedImmersion,
         raise ValueError("gamma pullback expects a sheaf over the ambient "
                          "ring")
     return GammaSheaf.create(im.target, n.rank, n.matrix,
-                             n.relations.generators, budget)
+                             n.relations.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +113,7 @@ def _det(mat: list[list[Polynomial]], ctx: RingContext) -> Polynomial:
     return acc
 
 
-def transition_factor(f_seq, g_seq, ctx: RingContext,
-                      budget: int = DEFAULT_SPAIR_BUDGET) -> TransitionMatrix:
+def transition_factor(f_seq, g_seq, ctx: RingContext) -> TransitionMatrix:
     """A matrix C with g_i = sum_j C[i][j] f_j and its determinant mod the
     common ideal.  C is chosen deterministically but is not unique; f must
     be a regular sequence, which makes det(C) mod I independent of the
@@ -127,10 +121,10 @@ def transition_factor(f_seq, g_seq, ctx: RingContext,
     f_seq, g_seq = list(f_seq), list(g_seq)
     if len(f_seq) != len(g_seq):
         raise ValueError("sequences have different lengths")
-    if not is_regular_sequence(f_seq, ctx, budget):
+    if not is_regular_sequence(f_seq, ctx):
         raise ValueError("sequence is not regular")
-    fgb = buchberger(f_seq, ctx, budget)
-    ggb = buchberger(g_seq, ctx, budget)
+    fgb = buchberger(f_seq, ctx)
+    ggb = buchberger(g_seq, ctx)
     if not submodule_equal(fgb, ggb):
         raise ValueError("sequences generate different ideals")
     # every element (h | c) of the module generated by the (f_j | e_j)
@@ -139,7 +133,7 @@ def transition_factor(f_seq, g_seq, ctx: RingContext,
     zeros = (Polynomial.zero(ctx),) * k
     mgb = module_buchberger(
         [FreeVector(ctx, (f,) + FreeVector.unit(ctx, k, j).comps)
-         for j, f in enumerate(f_seq)], 1 + k, ctx, budget)
+         for j, f in enumerate(f_seq)], 1 + k, ctx)
     rows = []
     for g in g_seq:
         r = normal_form(FreeVector(ctx, (g,) + zeros), mgb)
@@ -166,17 +160,15 @@ class CommutationCertificate:
     discrepancies: tuple  # entries (j, a, route_a_value, route_b_value)
 
 
-def check_pullback_twist_commutes(n: GammaSheaf, im: ClosedImmersion,
-                                  budget: int = DEFAULT_SPAIR_BUDGET
+def check_pullback_twist_commutes(n: GammaSheaf, im: ClosedImmersion
                                   ) -> CommutationCertificate:
     """Compare the two routes from a gamma-sheaf over the ambient ring to a
     Cartier module over the quotient: (twist, then pull back) against (pull
     back, then twist with the dualizing factor of the sequence).  With the
     volume-form normalization used throughout, the canonical isomorphism is
     the identity, so the tables must agree entrywise."""
-    route_a = cartier_pullback(twist_to_cartier(n, budget=budget), im, budget)
-    route_b = twist_to_cartier(gamma_pullback(n, im, budget), seq=im.seq,
-                               budget=budget)
+    route_a = cartier_pullback(twist_to_cartier(n), im)
+    route_b = twist_to_cartier(gamma_pullback(n, im), seq=im.seq)
     keys = set(route_a.kappa_table) | set(route_b.kappa_table)
     bad = []
     for key in sorted(keys):

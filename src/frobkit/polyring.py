@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import heapq
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
@@ -18,7 +20,35 @@ from .field import FieldElement, FieldSpec
 
 Monomial = tuple  # exponent vectors; length = number of ring variables
 
-DEFAULT_SPAIR_BUDGET = 50_000
+
+@dataclass(frozen=True)
+class Limits:
+    """Bounds on the work of one computation: S-pairs reduced per Groebner
+    basis, levels of an image chain or a saturation, and points or field
+    elements enumerated.  Each limit is read where it is spent, from the
+    limits in force (see use_limits)."""
+
+    spair: int = 50_000
+    chain: int = 64
+    guard: int = 10 ** 6
+
+
+_LIMITS: ContextVar[Limits] = ContextVar("frobkit_limits", default=Limits())
+
+
+def current_limits() -> Limits:
+    return _LIMITS.get()
+
+
+@contextmanager
+def use_limits(limits: Limits):
+    """Put ``limits`` in force for the code run inside the block, like
+    decimal.localcontext does for precision."""
+    token = _LIMITS.set(limits)
+    try:
+        yield limits
+    finally:
+        _LIMITS.reset(token)
 
 
 class BudgetExceededError(RuntimeError):
@@ -482,11 +512,10 @@ def _interreduce(basis: list[FreeVector], ctx: RingContext,
 
 
 def module_buchberger(vectors: Iterable[FreeVector], rank: int,
-                      ctx: Optional[RingContext] = None,
-                      budget: int = DEFAULT_SPAIR_BUDGET) -> GroebnerBasis:
+                      ctx: Optional[RingContext] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule of P^rank generated by
     ``vectors`` (position-over-term).  Raises BudgetExceededError when more
-    than ``budget`` S-pairs must be reduced."""
+    than ``current_limits().spair`` S-pairs must be reduced."""
     vectors = [v for v in vectors if v]
     if ctx is None:
         if not vectors:
@@ -516,6 +545,7 @@ def module_buchberger(vectors: Iterable[FreeVector], rank: int,
 
     for v in vectors:
         add(v.monic())
+    budget = current_limits().spair
     spent = 0
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -532,15 +562,14 @@ def module_buchberger(vectors: Iterable[FreeVector], rank: int,
 
 
 def buchberger(polys: Iterable[Polynomial],
-               ctx: Optional[RingContext] = None,
-               budget: int = DEFAULT_SPAIR_BUDGET) -> GroebnerBasis:
+               ctx: Optional[RingContext] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``polys``."""
     polys = list(polys)
     if ctx is None:
         if not polys:
             raise ValueError("need a ring context for the empty basis")
         ctx = polys[0].ctx
-    return module_buchberger([_as_vector(f) for f in polys], 1, ctx, budget)
+    return module_buchberger([_as_vector(f) for f in polys], 1, ctx)
 
 
 def submodule_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
@@ -598,8 +627,7 @@ def _project_poly(f: Polynomial, ctx: RingContext) -> Polynomial:
     return Polynomial(ctx, {m[1:]: c for m, c in f.terms.items()}, _clean=False)
 
 
-def module_quotient(n: GroebnerBasis, h: Polynomial,
-                    budget: int = DEFAULT_SPAIR_BUDGET) -> GroebnerBasis:
+def module_quotient(n: GroebnerBasis, h: Polynomial) -> GroebnerBasis:
     """(N : h) = {v : h*v in N}, via elimination: t*N + (1-t)*h*P^s, then
     dividing the t-free part by h."""
     if h.is_zero():
@@ -615,31 +643,30 @@ def module_quotient(n: GroebnerBasis, h: Polynomial,
     hl = _lift_poly(h, ectx)
     for j in range(rank):
         lifted.append(FreeVector.unit(ectx, rank, j, one_minus_t * hl))
-    egb = module_buchberger(lifted, rank, ectx, budget)
+    egb = module_buchberger(lifted, rank, ectx)
     out = []
     for v in egb.generators:
         if all(m[0] == 0 for c in v.comps for m in c.terms):
             proj = FreeVector(ctx, (_project_poly(c, ctx) for c in v.comps))
             out.append(FreeVector(ctx, (exact_divide(c, h) if c else c
                                         for c in proj.comps)))
-    return module_buchberger(out, rank, ctx, budget)
+    return module_buchberger(out, rank, ctx)
 
 
-def ideal_quotient(i_gb: GroebnerBasis, g: Polynomial,
-                   budget: int = DEFAULT_SPAIR_BUDGET) -> GroebnerBasis:
+def ideal_quotient(i_gb: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     """(I : g), computed by the elimination construction."""
     if i_gb.rank != 1:
         raise RankMismatchError("ideal quotient needs a rank-1 basis")
-    return module_quotient(i_gb, g, budget)
+    return module_quotient(i_gb, g)
 
 
-def saturate(n: GroebnerBasis, h: Polynomial,
-             budget: int = DEFAULT_SPAIR_BUDGET,
-             max_rounds: int = 64) -> GroebnerBasis:
-    """(N : h^infinity): iterate quotients by h until they stabilize."""
+def saturate(n: GroebnerBasis, h: Polynomial) -> GroebnerBasis:
+    """(N : h^infinity): iterate quotients by h until they stabilize, for at
+    most ``current_limits().chain`` rounds."""
+    max_rounds = current_limits().chain
     cur = n
     for _ in range(max_rounds):
-        nxt = module_quotient(cur, h, budget)
+        nxt = module_quotient(cur, h)
         if submodule_equal(cur, nxt):
             return cur
         cur = nxt
@@ -647,20 +674,19 @@ def saturate(n: GroebnerBasis, h: Polynomial,
                               f"{max_rounds} rounds")
 
 
-def is_regular_sequence(seq: list[Polynomial], ctx: RingContext,
-                        budget: int = DEFAULT_SPAIR_BUDGET) -> bool:
+def is_regular_sequence(seq: list[Polynomial], ctx: RingContext) -> bool:
     """True iff each f_i is a nonzerodivisor modulo its predecessors and the
     sequence does not generate the unit ideal."""
     seq = list(seq)
     if not seq or any(f.is_zero() for f in seq):
         return False
-    if buchberger(seq, ctx, budget).is_unit_ideal():
+    if buchberger(seq, ctx).is_unit_ideal():
         return False
     prev: list[Polynomial] = []
     for f in seq:
         if prev:
-            pgb = buchberger(prev, ctx, budget)
-            q = ideal_quotient(pgb, f, budget)
+            pgb = buchberger(prev, ctx)
+            q = ideal_quotient(pgb, f)
             if not submodule_equal(q, pgb):
                 return False
         prev.append(f)
@@ -709,12 +735,9 @@ class QuotientContext:
     ideal_gb: GroebnerBasis
 
     @classmethod
-    def from_generators(cls, ring: RingContext, gens: Iterable[Polynomial],
-                        budget: int = DEFAULT_SPAIR_BUDGET) -> "QuotientContext":
-        gens = [g for g in gens if not g.is_zero()]
-        gb = (buchberger(gens, ring, budget) if gens
-              else GroebnerBasis(ring, 1, ()))
-        return cls(ring, gb)
+    def from_generators(cls, ring: RingContext,
+                        gens: Iterable[Polynomial]) -> "QuotientContext":
+        return cls(ring, buchberger(gens, ring))
 
     @classmethod
     def trivial(cls, ring: RingContext) -> "QuotientContext":

@@ -5,7 +5,6 @@ for later commands.  Output is one JSON record per command."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .cartier import (CartierModule, is_crystal_supported_on, is_nilpotent,
@@ -16,10 +15,11 @@ from .gamma import (GammaSheaf, gamma_is_nilpotent, gen_stable_dimension,
 from .koszul import (ClosedImmersion, cartier_pullback,
                      check_pullback_twist_commutes, dualizing_module,
                      gamma_pullback, transition_factor)
-from .polyring import (DEFAULT_SPAIR_BUDGET, ParseError, QuotientContext,
-                       RingContext, buchberger, format_polynomial,
-                       format_vector, parse_polynomial, parse_vector)
-from .solutions import (DEFAULT_GUARD, RationalPoint, artin_schreier_kernel,
+from .polyring import (Limits, ParseError, QuotientContext, RingContext,
+                       buchberger, current_limits, format_polynomial,
+                       format_vector, parse_polynomial, parse_vector,
+                       use_limits)
+from .solutions import (RationalPoint, artin_schreier_kernel,
                         enumerate_points, point_field, solutions_at_point)
 
 
@@ -29,13 +29,6 @@ class SessionError(ValueError):
 
 class CommandError(RuntimeError):
     """A command failed during execution."""
-
-
-@dataclass
-class Budgets:
-    spair: int = DEFAULT_SPAIR_BUDGET
-    chain: int = 64
-    guard: int = DEFAULT_GUARD
 
 
 def _parse_kappa_key(key: str, rank: int, nvars: int, p: int) -> tuple:
@@ -77,8 +70,7 @@ def serialize_gamma(n: GammaSheaf) -> dict:
 class Session:
     """A parsed session: context plus a mutable object namespace."""
 
-    def __init__(self, data: dict, budgets: Optional[Budgets] = None):
-        self.budgets = budgets or Budgets()
+    def __init__(self, data: dict):
         try:
             self.field = FieldSpec.from_json(data["field"])
             ring_spec = data["ring"]
@@ -88,8 +80,7 @@ class Session:
             raise SessionError(f"bad field/ring specification: {exc}") from exc
         ideal_texts = data.get("ideal", [])
         self.ideal_gens = [parse_polynomial(self.ring, t) for t in ideal_texts]
-        self.ctx = QuotientContext.from_generators(self.ring, self.ideal_gens,
-                                                   self.budgets.spair)
+        self.ctx = QuotientContext.from_generators(self.ring, self.ideal_gens)
         self.objects: dict[str, Any] = {}
         for name, spec in data.get("objects", {}).items():
             self.objects[name] = self._build_object(name, spec)
@@ -110,12 +101,17 @@ class Session:
                 return self._build_gamma(body)
             if kind == "immersion":
                 seq = [parse_polynomial(self.ring, t) for t in body["sequence"]]
-                return ClosedImmersion.create(self.ring, seq,
-                                              self.budgets.spair)
+                return ClosedImmersion.create(self.ring, seq)
             if kind == "point":
-                m = int(body["m"])
-                spec_f = (self.field if self.field.e > 1
-                          else point_field(self.field.p, m))
+                m = _int_arg(body, "m")
+                spec_f = self.field
+                if spec_f.e == 1:
+                    # finding the modulus of GF(p^m) is itself a search
+                    size, guard = spec_f.p ** m, current_limits().guard
+                    if size > guard:
+                        raise SessionError(f"point field of size {size} "
+                                           f"exceeds the guard {guard}")
+                    spec_f = point_field(spec_f.p, m)
                 coords = tuple(spec_f.element(c) for c in body["coords"])
                 if len(coords) != self.ring.nvars:
                     raise SessionError("point coordinate count mismatch")
@@ -132,8 +128,7 @@ class Session:
         for key, text in body.get("kappa", {}).items():
             j, a = _parse_kappa_key(key, rank, self.ring.nvars, self.field.p)
             table[(j, a)] = parse_vector(self.ring, rank, text)
-        m = CartierModule.create(self.ctx, rank, rels, table,
-                                 self.budgets.spair)
+        m = CartierModule.create(self.ctx, rank, rels, table)
         if not validate_cartier_structure(m):
             raise SessionError("kappa table is inconsistent with the "
                                "relations")
@@ -145,8 +140,7 @@ class Session:
                 for t in body.get("relations", [])]
         matrix = [[parse_polynomial(self.ring, e) for e in row]
                   for row in body["matrix"]]
-        n = GammaSheaf.create(self.ctx, rank, matrix, rels,
-                              self.budgets.spair)
+        n = GammaSheaf.create(self.ctx, rank, matrix, rels)
         if not validate_gamma_structure(n):
             raise SessionError("gamma matrix is inconsistent with the "
                                "relations")
@@ -184,9 +178,8 @@ def _h_gb(s: Session, cmd: dict) -> dict:
     texts = cmd.get("polys")
     polys = (s.ideal_gens if texts is None
              else [parse_polynomial(s.ring, t) for t in texts])
-    gb = buchberger(polys, s.ring, s.budgets.spair) if polys else None
-    gens = [] if gb is None else [format_polynomial(g) for g in gb.polys]
-    return {"basis": gens}
+    gb = buchberger(polys, s.ring)
+    return {"basis": [format_polynomial(g) for g in gb.polys]}
 
 
 def _h_validate(s: Session, cmd: dict) -> dict:
@@ -200,10 +193,11 @@ def _h_validate(s: Session, cmd: dict) -> dict:
     return {"valid": ok, "violations": [{"relation": g} for g in bad]}
 
 
-def _positive_int(cmd: dict, key: str, default=None) -> int:
+def _int_arg(cmd: dict, key: str, default=None, least: int = 1) -> int:
     value = cmd.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise CommandError(f"argument {key!r} must be a positive integer, "
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise SessionError(f"argument {key!r} must be a {kind} integer, "
                            f"not {value!r}")
     return value
 
@@ -211,10 +205,9 @@ def _positive_int(cmd: dict, key: str, default=None) -> int:
 def _h_nilpotent(s: Session, cmd: dict) -> dict:
     obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
     if isinstance(obj, CartierModule):
-        v = is_nilpotent(obj, s.budgets.chain, s.budgets.spair)
+        v = is_nilpotent(obj)
     else:
-        v = gamma_is_nilpotent(obj, _positive_int(cmd, "bound", 16),
-                               s.budgets.spair)
+        v = gamma_is_nilpotent(obj, _int_arg(cmd, "bound", 16))
     return v.to_json()
 
 
@@ -222,28 +215,27 @@ def _h_crystal_zero(s: Session, cmd: dict) -> dict:
     # a coherent Cartier module is zero as a crystal exactly when it is
     # nilpotent
     m = s._get(cmd, "target", (CartierModule,))
-    return is_nilpotent(m, s.budgets.chain, s.budgets.spair).to_json()
+    return is_nilpotent(m).to_json()
 
 
 def _h_supported_on(s: Session, cmd: dict) -> dict:
     m = s._get(cmd, "target", (CartierModule,))
     gens = [parse_polynomial(s.ring, t) for t in cmd.get("ideal", [])]
-    ok = is_crystal_supported_on(m, gens, s.budgets.chain, s.budgets.spair)
+    ok = is_crystal_supported_on(m, gens)
     return {"supported": ok}
 
 
 def _h_twist_to_cartier(s: Session, cmd: dict) -> dict:
     n = s._get(cmd, "target", (GammaSheaf,))
     seq = [parse_polynomial(s.ring, t) for t in cmd.get("sequence", [])]
-    m = twist_to_cartier(n, seq, cmd.get("method", "projection"),
-                         s.budgets.spair)
+    m = twist_to_cartier(n, seq, cmd.get("method", "projection"))
     s._store(cmd, m)
     return {"module": serialize_module(m)}
 
 
 def _h_twist_to_gamma(s: Session, cmd: dict) -> dict:
     m = s._get(cmd, "target", (CartierModule,))
-    n = twist_to_gamma(m, s.budgets.spair)
+    n = twist_to_gamma(m)
     s._store(cmd, n)
     return {"gamma": serialize_gamma(n)}
 
@@ -252,17 +244,17 @@ def _h_pullback(s: Session, cmd: dict) -> dict:
     obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
     im = s._get(cmd, "immersion", (ClosedImmersion,))
     if isinstance(obj, CartierModule):
-        out = cartier_pullback(obj, im, s.budgets.spair)
+        out = cartier_pullback(obj, im)
         s._store(cmd, out)
         return {"module": serialize_module(out)}
-    out = gamma_pullback(obj, im, s.budgets.spair)
+    out = gamma_pullback(obj, im)
     s._store(cmd, out)
     return {"gamma": serialize_gamma(out)}
 
 
 def _h_dualizing(s: Session, cmd: dict) -> dict:
     im = s._get(cmd, "immersion", (ClosedImmersion,))
-    m = dualizing_module(im, s.budgets.spair)
+    m = dualizing_module(im)
     s._store(cmd, m)
     return {"module": serialize_module(m)}
 
@@ -270,7 +262,7 @@ def _h_dualizing(s: Session, cmd: dict) -> dict:
 def _h_transition(s: Session, cmd: dict) -> dict:
     f = [parse_polynomial(s.ring, t) for t in cmd["f"]]
     g = [parse_polynomial(s.ring, t) for t in cmd["g"]]
-    tr = transition_factor(f, g, s.ring, s.budgets.spair)
+    tr = transition_factor(f, g, s.ring)
     return {"det": format_polynomial(tr.det),
             "matrix": [[format_polynomial(e) for e in row]
                        for row in tr.matrix]}
@@ -279,7 +271,7 @@ def _h_transition(s: Session, cmd: dict) -> dict:
 def _h_check_2_14(s: Session, cmd: dict) -> dict:
     n = s._get(cmd, "target", (GammaSheaf,))
     im = s._get(cmd, "immersion", (ClosedImmersion,))
-    cert = check_pullback_twist_commutes(n, im, s.budgets.spair)
+    cert = check_pullback_twist_commutes(n, im)
     return {"equal": cert.equal,
             "discrepancies": [{"position": j, "residue": list(a),
                                "first": format_vector(va),
@@ -289,7 +281,7 @@ def _h_check_2_14(s: Session, cmd: dict) -> dict:
 
 def _h_gen_dim(s: Session, cmd: dict) -> dict:
     n = s._get(cmd, "target", (GammaSheaf,))
-    return {"dim": gen_stable_dimension(n, s.budgets.spair)}
+    return {"dim": gen_stable_dimension(n)}
 
 
 def _h_solutions(s: Session, cmd: dict) -> dict:
@@ -297,8 +289,7 @@ def _h_solutions(s: Session, cmd: dict) -> dict:
     if "point" in cmd:
         pts = [s._get(cmd, "point", (RationalPoint,))]
     else:
-        m = int(cmd.get("m", 1))
-        pts = enumerate_points(s.ctx, m, s.budgets.guard)
+        pts = enumerate_points(s.ctx, _int_arg(cmd, "m", 1))
     rows = []
     for pt in pts:
         space = solutions_at_point(n, pt)
@@ -309,14 +300,17 @@ def _h_solutions(s: Session, cmd: dict) -> dict:
 
 
 def _h_as_kernel(s: Session, cmd: dict) -> dict:
-    q = _positive_int(cmd, "q")
-    return {"q": q, "dim": artin_schreier_kernel(q, s.budgets.guard)}
+    q = _int_arg(cmd, "q")
+    return {"q": q, "dim": artin_schreier_kernel(q)}
 
 
 def _h_verify_suite(s: Session, cmd: dict) -> dict:
     from .verify import run_verify
-    results = run_verify(seed=int(cmd.get("seed", 0)),
-                         quick=bool(cmd.get("quick", False)))
+    quick = cmd.get("quick", False)
+    if not isinstance(quick, bool):
+        raise SessionError(f"argument 'quick' must be true or false, "
+                           f"not {quick!r}")
+    results = run_verify(seed=_int_arg(cmd, "seed", 0, least=0), quick=quick)
     return {"checks": results,
             "passed": sum(1 for r in results if r["ok"]),
             "failed": sum(1 for r in results if not r["ok"])}
@@ -341,21 +335,22 @@ _HANDLERS = {
 }
 
 
-def run_session(data: dict, budgets: Optional[Budgets] = None) -> list[dict]:
-    """Execute a parsed session; returns one report record per command.  The
-    records are deterministic for a fixed session (timings are not part of
-    them)."""
-    session = Session(data, budgets)
-    reports = []
-    for i, cmd in enumerate(session.commands):
-        record: dict = {"index": i, "op": cmd["op"]}
-        try:
-            record["result"] = session.run_command(cmd)
-            record["status"] = "ok"
-        except Exception as exc:  # structured errors, never a bare crash
-            record["status"] = "error"
-            record["error"] = str(exc)
-        reports.append(record)
+def run_session(data: dict, limits: Optional[Limits] = None) -> list[dict]:
+    """Execute a parsed session under ``limits`` (the defaults when None);
+    returns one report record per command.  The records are deterministic
+    for a fixed session (timings are not part of them)."""
+    with use_limits(limits or Limits()):
+        session = Session(data)
+        reports = []
+        for i, cmd in enumerate(session.commands):
+            record: dict = {"index": i, "op": cmd["op"]}
+            try:
+                record["result"] = session.run_command(cmd)
+                record["status"] = "ok"
+            except Exception as exc:  # structured errors, never a bare crash
+                record["status"] = "error"
+                record["error"] = str(exc)
+            reports.append(record)
     return reports
 
 

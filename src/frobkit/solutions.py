@@ -11,9 +11,7 @@ from itertools import product
 from .field import FieldElement, FieldSpec, _is_irreducible, _is_prime
 from .gamma import GammaSheaf
 from .linalg import nullspace_mod_p
-from .polyring import QuotientContext
-
-DEFAULT_GUARD = 10 ** 6
+from .polyring import QuotientContext, current_limits
 
 
 class GuardExceededError(RuntimeError):
@@ -76,9 +74,11 @@ def _resolve_point_field(base: FieldSpec, m: int) -> FieldSpec:
     return point_field(base.p, m)
 
 
-def enumerate_points(ctx: QuotientContext, m: int,
-                     guard: int = DEFAULT_GUARD) -> list[RationalPoint]:
-    """All alpha in (GF(p^m))^n at which every ideal generator vanishes."""
+def enumerate_points(ctx: QuotientContext, m: int) -> list[RationalPoint]:
+    """All alpha in (GF(p^m))^n at which every ideal generator vanishes.
+    Raises GuardExceededError when the p^(m*n) candidates exceed
+    ``current_limits().guard``."""
+    guard = current_limits().guard
     base = ctx.ring.field
     n = ctx.ring.nvars
     # the point field has p^m elements; compare before building it, since
@@ -147,13 +147,12 @@ def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
     return SolutionSpace(len(basis), tuple(basis))
 
 
-def brute_force_solutions(root: GammaSheaf, pt: RationalPoint,
-                          guard: int = DEFAULT_GUARD) -> list[tuple]:
+def brute_force_solutions(root: GammaSheaf, pt: RationalPoint) -> list[tuple]:
     """Oracle: try every w in (point field)^s against the defining equation."""
     spec = pt.spec
     s = root.rank
     p = spec.p
-    if spec.size ** s > guard:
+    if spec.size ** s > current_limits().guard:
         raise GuardExceededError("solution enumeration exceeds the guard")
     a_at = _check_fiber(root, pt)
     out = []
@@ -172,12 +171,12 @@ def brute_force_solutions(root: GammaSheaf, pt: RationalPoint,
     return out
 
 
-def artin_schreier_kernel(q: int, guard: int = DEFAULT_GUARD) -> int:
+def artin_schreier_kernel(q: int) -> int:
     """F_p-dimension of {a in GF(q) : a^p = a}; the fixed set is the prime
     field, so the answer is 1 for every prime power q."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    if q > guard:
+    if q > current_limits().guard:
         raise GuardExceededError(f"field of size {q} exceeds the guard")
     p = next(d for d in range(2, q + 1) if q % d == 0)
     if not _is_prime(p):
@@ -199,13 +198,13 @@ def artin_schreier_kernel(q: int, guard: int = DEFAULT_GUARD) -> int:
     return dim
 
 
-def solution_profile(root: GammaSheaf, ctx: QuotientContext, m_max: int,
-                     guard: int = DEFAULT_GUARD) -> list[dict]:
+def solution_profile(root: GammaSheaf, ctx: QuotientContext,
+                     m_max: int) -> list[dict]:
     """Dimensions of the solution space at every rational point over each
     extension degree up to m_max."""
     rows = []
     for m in range(1, m_max + 1):
-        for pt in enumerate_points(ctx, m, guard):
+        for pt in enumerate_points(ctx, m):
             space = solutions_at_point(root, pt)
             rows.append({"m": m, "point": pt.to_json()["coords"],
                          "dim": space.dimension})

@@ -10,9 +10,8 @@ from frobkit.field import FieldSpec
 from frobkit.gamma import (GammaSheaf, _kernel_chain, gamma_is_nilpotent,
                            gamma_iterate, gen_stable_dimension,
                            twisted_relations, validate_gamma_structure)
-from frobkit.polyring import (DEFAULT_SPAIR_BUDGET, FreeVector, Polynomial,
-                              QuotientContext, RingContext, module_buchberger,
-                              module_staircase)
+from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
+                              RingContext, module_buchberger, module_staircase)
 from frobkit.verify import random_polynomial
 
 
@@ -122,7 +121,7 @@ def test_chain_matches_full_loop(case):
     n = random_root(seed, p, names, k, len(boxes), ambient, boxes)
     assert validate_gamma_structure(n)
     dims = full_loop(n)
-    chain = _kernel_chain(n, DEFAULT_SPAIR_BUDGET)
+    chain = _kernel_chain(n)
     # a repeat ends the chain over P and for free N only
     free = not ambient and all(c == k for box in boxes for c in box)
     expected = chain_prefix(dims) if ambient or free else dims
@@ -147,7 +146,7 @@ def test_chain_stops_at_first_repeat():
     ctx = fat_point(2, ("x", "y"), 2)
     one, zero = Polynomial.one(ctx.ring), Polynomial.zero(ctx.ring)
     n = GammaSheaf.create(ctx, 2, [[one, zero], [zero, one]])
-    assert [(it.level, r) for it, r in _kernel_chain(n, DEFAULT_SPAIR_BUDGET)] \
+    assert [(it.level, r) for it, r in _kernel_chain(n)] \
         == [(1, 8), (2, 8)]
     assert gen_stable_dimension(n) == 8
 
@@ -160,7 +159,7 @@ def test_non_free_chain_runs_past_a_repeat():
     rels = [FreeVector.unit(ctx.ring, 2, j, x) for j in range(2)]
     n = GammaSheaf.create(ctx, 2, [[x, zero], [zero, x]], rels)
     assert validate_gamma_structure(n)
-    assert [r for _, r in _kernel_chain(n, DEFAULT_SPAIR_BUDGET)] == [2, 2, 0]
+    assert [r for _, r in _kernel_chain(n)] == [2, 2, 0]
     assert gen_stable_dimension(n) == 0
     verdict = gamma_is_nilpotent(n)
     assert verdict.is_nilpotent and verdict.index == 3
@@ -174,6 +173,6 @@ def test_non_free_nilpotence_index_past_dim():
     n = GammaSheaf.create(ctx, 1, [[x ** 2]], [FreeVector.unit(ctx.ring, 1,
                                                                0, x)])
     assert validate_gamma_structure(n)
-    assert [r for _, r in _kernel_chain(n, DEFAULT_SPAIR_BUDGET)] == [1, 0]
+    assert [r for _, r in _kernel_chain(n)] == [1, 0]
     verdict = gamma_is_nilpotent(n)
     assert verdict.is_nilpotent and verdict.index == 2

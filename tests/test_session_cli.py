@@ -161,6 +161,41 @@ def test_point_guard_fires_before_the_field_is_built():
                                    f"guard 1000000")
 
 
+def test_bad_m_is_a_structured_error():
+    for bad in (-1, 0, "2"):
+        with pytest.raises(SessionError, match=(
+                f"object 'P': argument 'm' must be a positive integer, "
+                f"not {bad!r}")):
+            Session(base_session(objects={
+                "P": {"point": {"m": bad, "coords": [[0]]}}}))
+    reports = run_session(base_session(commands=[
+        {"op": "solutions", "target": "N1", "m": bad} for bad in (-1, 0)]))
+    assert [r["error"] for r in reports] == [
+        f"argument 'm' must be a positive integer, not {bad}"
+        for bad in (-1, 0)]
+
+
+def test_point_object_guard_fires_before_the_field_is_built():
+    start = time.perf_counter()
+    with pytest.raises(SessionError, match=(
+            f"object 'P': point field of size {7 ** 14} exceeds the guard "
+            f"1000000")):
+        Session(base_session(field={"p": 7}, objects={
+            "P": {"point": {"m": 14, "coords": [[0]]}}}))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bad_verify_suite_arguments_are_structured_errors():
+    reports = run_session(base_session(commands=[
+        {"op": "verify-suite", "quick": True, "seed": "x"},
+        {"op": "verify-suite", "quick": True, "seed": -1},
+        {"op": "verify-suite", "quick": "false"}]))
+    assert [r["error"] for r in reports] == [
+        "argument 'seed' must be a non-negative integer, not 'x'",
+        "argument 'seed' must be a non-negative integer, not -1",
+        "argument 'quick' must be true or false, not 'false'"]
+
+
 def test_reports_are_deterministic():
     cmds = [
         {"op": "twist-to-cartier", "target": "N1", "store": "M1"},

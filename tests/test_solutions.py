@@ -4,7 +4,8 @@ import pytest
 
 from frobkit.field import FieldSpec
 from frobkit.gamma import GammaSheaf, gamma_is_nilpotent
-from frobkit.polyring import Polynomial, QuotientContext, RingContext
+from frobkit.polyring import (Limits, Polynomial, QuotientContext,
+                              RingContext, use_limits)
 from frobkit.solutions import (FiberDegenerationError, GuardExceededError,
                                artin_schreier_kernel, brute_force_solutions,
                                enumerate_points, point_field,
@@ -52,8 +53,9 @@ def test_enumerate_points():
 
 def test_enumerate_guard():
     ring = RingContext(FieldSpec(5), ("x", "y", "z"))
-    with pytest.raises(GuardExceededError):
-        enumerate_points(QuotientContext.trivial(ring), 4, guard=10 ** 4)
+    with use_limits(Limits(guard=10 ** 4)), \
+            pytest.raises(GuardExceededError):
+        enumerate_points(QuotientContext.trivial(ring), 4)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 49])
