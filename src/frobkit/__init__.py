@@ -15,20 +15,21 @@ from .frobenius import (FrobeniusDecomposition, cartier_volume,
                         cartier_volume_by_decomposition, pth_root_decompose)
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict, SemilinearEndo, StableImageResult,
-                      hom_commuting, is_crystal_supported_on, is_nilpotent,
-                      kappa_apply, kappa_power,
+                      cartier_structure_violations, hom_commuting,
+                      is_crystal_supported_on, is_nilpotent, kappa_apply,
                       nil_isomorphism_test, restrict_to_principal_open,
                       semilinear_nilpotent, stable_image, to_semilinear,
-                      validate_cartier_structure, volume_cartier_module)
+                      volume_cartier_module)
 from .gamma import (GammaIterate, GammaSheaf, frobenius_twist_root,
-                    gamma_is_nilpotent, gamma_iterate, gen_stable_dimension,
-                    twist_to_cartier, twist_to_gamma, validate_gamma_structure)
+                    gamma_is_nilpotent, gamma_iterate,
+                    gamma_structure_violations, gen_stable_dimension,
+                    twist_to_cartier, twist_to_gamma)
 from .koszul import (ClosedImmersion, TransitionMatrix, cartier_pullback,
                      check_pullback_twist_commutes, dualizing_module,
                      gamma_pullback, transition_factor)
 from .solutions import (FiberDegenerationError, GuardExceededError,
                         RationalPoint, SolutionSpace, artin_schreier_kernel,
                         brute_force_solutions, enumerate_points, point_field,
-                        solution_profile, solutions_at_point)
+                        solutions_at_point)
 
 __version__ = "0.1.0"

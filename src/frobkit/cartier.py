@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .field import FieldElement, FieldSpec, frobenius, frobenius_root
+from .field import FieldElement, FieldSpec, frobenius_root
 from .frobenius import pth_root_decompose, residue_exponents
 from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
                        Monomial, Polynomial, QuotientContext,
@@ -89,13 +89,7 @@ class CartierModule:
     def create(cls, ctx: QuotientContext, rank: int,
                relation_vectors=(), table: Optional[dict] = None
                ) -> "CartierModule":
-        ring = ctx.ring
-        gens = list(relation_vectors)
-        for g in ctx.ideal_gb.generators:
-            f = g.comps[0]
-            for j in range(rank):
-                gens.append(FreeVector.unit(ring, rank, j, f))
-        relations = module_buchberger(gens, rank, ring)
+        relations = ctx.module_relations(rank, relation_vectors)
         clean = {}
         if table:
             for (j, a), v in table.items():
@@ -115,9 +109,6 @@ class CartierModule:
     def table_value(self, j: int, a: Monomial) -> FreeVector:
         return self.kappa_table.get((j, tuple(a)),
                                     FreeVector.zero(self.ring, self.rank))
-
-    def is_zero_table(self) -> bool:
-        return not self.kappa_table
 
     def nf(self, v: FreeVector) -> FreeVector:
         return normal_form(v, self.relations)
@@ -146,19 +137,11 @@ def kappa_apply(m: CartierModule, v: FreeVector) -> FreeVector:
     return m.nf(kappa_lift(m, m.nf(v)))
 
 
-def kappa_power(m: CartierModule, e: int, v: FreeVector) -> FreeVector:
-    if e < 0:
-        raise ValueError("negative kappa power")
-    out = m.nf(v)
-    for _ in range(e):
-        out = kappa_apply(m, out)
-    return out
-
-
-def validate_cartier_structure(m: CartierModule, collect: bool = False):
+def cartier_structure_violations(m: CartierModule) -> list[tuple]:
     """Well-definedness of the table presentation: the lift must send
     x^a * rho into the relations for every relation generator rho and every
-    a in [0,p)^n.  Returns a bool, or (bool, violations) when collecting."""
+    a in [0,p)^n.  Returns the pairs (position of rho, a) for which it does
+    not; the table is well defined when the list is empty."""
     violations = []
     one = m.ring.field.one()
     for gi, rho in enumerate(m.relations.generators):
@@ -166,11 +149,7 @@ def validate_cartier_structure(m: CartierModule, collect: bool = False):
             image = kappa_lift(m, rho.term_mul(a, one))
             if not m.nf(image).is_zero():
                 violations.append((gi, a))
-                if not collect:
-                    return False
-    if collect:
-        return not violations, violations
-    return True
+    return violations
 
 
 @dataclass(frozen=True)
@@ -299,24 +278,16 @@ def restrict_to_principal_open(m: CartierModule,
 
 @dataclass(frozen=True)
 class SemilinearEndo:
-    """A Frobenius-semilinear endomorphism of k^d.  Inverse direction means
-    T(v) = U v^(1/p entrywise) (so T(c^p v) = c T(v)); forward means
-    T(v) = U v^(p entrywise)."""
+    """A p^(-1)-linear endomorphism of k^d: T(v) = U v^(1/p entrywise), so
+    T(c^p v) = c T(v)."""
 
     dim: int
     matrix: tuple
     spec: FieldSpec
-    direction: str = "inverse"
-    basis: Optional[tuple] = None  # staircase labels (j, monomial) if known
-
-    def __post_init__(self):
-        if self.direction not in ("inverse", "forward"):
-            raise ValueError(f"unknown direction {self.direction!r}")
 
     def apply(self, v: list[FieldElement]) -> list[FieldElement]:
-        tw = frobenius_root if self.direction == "inverse" else frobenius
         return linalg.mat_vec([list(r) for r in self.matrix],
-                              [tw(x) for x in v])
+                              [frobenius_root(x) for x in v])
 
     def rows(self) -> list[list[FieldElement]]:
         return [list(r) for r in self.matrix]
@@ -346,7 +317,7 @@ def to_semilinear(m: CartierModule) -> SemilinearEndo:
                 col[t] = col[t] + c
         cols.append(col)
     matrix = tuple(tuple(cols[t][r] for t in range(d)) for r in range(d))
-    return SemilinearEndo(d, matrix, spec, "inverse", tuple(st))
+    return SemilinearEndo(d, matrix, spec)
 
 
 def _image_span(t: SemilinearEndo,
@@ -373,29 +344,16 @@ def semilinear_nilpotent(t: SemilinearEndo) -> NilpotenceVerdict:
     return NilpotenceVerdict.not_nilpotent()
 
 
-def _field_basis(spec: FieldSpec) -> list[FieldElement]:
-    if spec.e == 1:
-        return [spec.one()]
-    g = spec.generator()
-    out = [spec.one()]
-    for _ in range(spec.e - 1):
-        out.append(out[-1] * g)
-    return out
-
-
 def hom_commuting(m: SemilinearEndo, n: SemilinearEndo) -> list[tuple]:
     """F_p-basis of the k-linear maps phi: k^dM -> k^dN with
-    phi o T_M = T_N o phi.  For the inverse direction the matrix condition is
-    phi U_M = U_N phi^(1/p entrywise); for forward, phi U_M = U_N phi^(p).
+    phi o T_M = T_N o phi, that is phi U_M = U_N phi^(1/p entrywise).
     Restriction of scalars to F_p makes the condition linear in the prime
     field coordinates of the entries of phi."""
-    if m.direction != n.direction:
-        raise ValueError("direction mismatch")
     spec = m.spec
     if n.spec != spec:
         raise ValueError("field mismatch")
     p, e = spec.p, spec.e
-    fb = _field_basis(spec)
+    fb = spec.power_basis()
     um, un = m.rows(), n.rows()
     unknowns = []
     columns = []
@@ -405,10 +363,7 @@ def hom_commuting(m: SemilinearEndo, n: SemilinearEndo) -> list[tuple]:
                 phi = linalg.zeros(spec, n.dim, m.dim)
                 phi[r][s] = fb[t]
                 lhs = linalg.mat_mul(phi, um)
-                tw = (linalg.mat_frobenius_root(phi)
-                      if m.direction == "inverse"
-                      else linalg.mat_frobenius(phi))
-                rhs = linalg.mat_mul(un, tw)
+                rhs = linalg.mat_mul(un, linalg.mat_frobenius_root(phi))
                 col = []
                 for i in range(n.dim):
                     for j in range(m.dim):
@@ -432,21 +387,16 @@ def hom_commuting(m: SemilinearEndo, n: SemilinearEndo) -> list[tuple]:
 def _commutes(phi: list[list[FieldElement]], m: SemilinearEndo,
               n: SemilinearEndo) -> bool:
     lhs = linalg.mat_mul(phi, m.rows())
-    tw = (linalg.mat_frobenius_root(phi) if m.direction == "inverse"
-          else linalg.mat_frobenius(phi))
-    return lhs == linalg.mat_mul(n.rows(), tw)
+    return lhs == linalg.mat_mul(n.rows(), linalg.mat_frobenius_root(phi))
 
 
 def nil_isomorphism_test(phi, m: SemilinearEndo, n: SemilinearEndo) -> bool:
     """phi is a nil-isomorphism when the operators induced on its kernel and
     cokernel are both nilpotent.  phi must commute with the operators."""
-    if m.direction != n.direction:
-        raise ValueError("direction mismatch")
     phi = [list(r) for r in phi]
     if not _commutes(phi, m, n):
         raise ValueError("map does not commute with the operators")
     spec = m.spec
-    tw = frobenius_root if m.direction == "inverse" else frobenius
 
     # kernel side: T_M preserves ker(phi) because phi T_M = T_N phi
     kbasis = linalg.nullspace(phi, spec) if m.dim else []
@@ -462,7 +412,7 @@ def nil_isomorphism_test(phi, m: SemilinearEndo, n: SemilinearEndo) -> bool:
             kt.append(coords)
         d = len(kbasis)
         kmatrix = tuple(tuple(kt[t][r] for t in range(d)) for r in range(d))
-        kv = semilinear_nilpotent(SemilinearEndo(d, kmatrix, spec, m.direction))
+        kv = semilinear_nilpotent(SemilinearEndo(d, kmatrix, spec))
         if not kv.is_nilpotent:
             return False
 
@@ -471,17 +421,16 @@ def nil_isomorphism_test(phi, m: SemilinearEndo, n: SemilinearEndo) -> bool:
     red, pivots = linalg.rref(cols)
     free = [i for i in range(n.dim) if i not in pivots]
     if free:
-        un = n.rows()
         ct = []
         for f in free:
             v = [spec.zero()] * n.dim
             v[f] = spec.one()
-            img = linalg.mat_vec(un, [tw(x) for x in v])
+            img = n.apply(v)
             resid = linalg.reduce_against(red, pivots, img)
             ct.append([resid[i] for i in free])
         d = len(free)
         cmatrix = tuple(tuple(ct[t][r] for t in range(d)) for r in range(d))
-        cv = semilinear_nilpotent(SemilinearEndo(d, cmatrix, spec, n.direction))
+        cv = semilinear_nilpotent(SemilinearEndo(d, cmatrix, spec))
         if not cv.is_nilpotent:
             return False
     return True

@@ -110,6 +110,13 @@ class FieldSpec:
             raise FieldError("prime fields have no extension generator")
         return FieldElement(self, (0, 1) + (0,) * (self.e - 2))
 
+    def power_basis(self) -> list["FieldElement"]:
+        """1, g, ..., g^(e-1) for the generator g: a basis over GF(p)."""
+        out = [self.one()]
+        for _ in range(self.e - 1):
+            out.append(out[-1] * self.generator())
+        return out
+
     def elements(self) -> Iterator["FieldElement"]:
         for coeffs in product(range(self.p), repeat=self.e):
             yield FieldElement(self, coeffs)
@@ -163,9 +170,6 @@ class FieldElement:
                 head = "" if c == 1 else f"{c}*"
                 parts.append(f"{head}a" if i == 1 else f"{head}a^{i}")
         return "(" + (" + ".join(parts) if parts else "0") + ")"
-
-    def in_prime_field(self) -> bool:
-        return not any(self.coeffs[1:])
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         if other.spec is not self.spec and other.spec != self.spec:

@@ -12,7 +12,7 @@ from itertools import islice, product
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict)
-from .frobenius import cartier_volume, pth_root_decompose
+from .frobenius import cartier_volume
 from .polyring import (FreeVector, GroebnerBasis, Polynomial,
                        QuotientContext, RankMismatchError, RingContext,
                        buchberger, is_regular_sequence, module_buchberger,
@@ -35,24 +35,15 @@ class GammaSheaf:
     @classmethod
     def create(cls, ctx: QuotientContext, rank: int, matrix,
                relation_vectors=()) -> "GammaSheaf":
-        ring = ctx.ring
         if len(matrix) != rank or any(len(row) != rank for row in matrix):
             raise RankMismatchError(f"matrix must be {rank}x{rank}")
-        gens = list(relation_vectors)
-        for g in ctx.ideal_gb.generators:
-            f = g.comps[0]
-            for j in range(rank):
-                gens.append(FreeVector.unit(ring, rank, j, f))
-        relations = module_buchberger(gens, rank, ring)
+        relations = ctx.module_relations(rank, relation_vectors)
         mat = tuple(tuple(ctx.nf(entry) for entry in row) for row in matrix)
         return cls(ctx, rank, relations, mat)
 
     @property
     def ring(self) -> RingContext:
         return self.ctx.ring
-
-    def is_zero_matrix(self) -> bool:
-        return all(e.is_zero() for row in self.matrix for e in row)
 
 
 def _twist_vector(v: FreeVector, k: int) -> FreeVector:
@@ -62,19 +53,15 @@ def _twist_vector(v: FreeVector, k: int) -> FreeVector:
 def twisted_relations(n: GammaSheaf, level: int) -> GroebnerBasis:
     """Presentation of the level-fold Frobenius pullback F^(level)*N: the
     [p^level]-twists of the relations together with I e_j."""
-    ring = n.ring
-    gens = [_twist_vector(g, level) for g in n.relations.generators]
-    for g in n.ctx.ideal_gb.generators:
-        f = g.comps[0]
-        for j in range(n.rank):
-            gens.append(FreeVector.unit(ring, n.rank, j, f))
-    return module_buchberger(gens, n.rank, ring)
+    return n.ctx.module_relations(
+        n.rank, (_twist_vector(g, level) for g in n.relations.generators))
 
 
-def validate_gamma_structure(n: GammaSheaf, collect: bool = False):
+def gamma_structure_violations(n: GammaSheaf) -> list[int]:
     """Well-definedness of gamma on the presentation: for every relation
     rho the image vector (A rho)_i = sum_j A_ij rho_j must lie in the twisted
-    relation module of F*N."""
+    relation module of F*N.  Returns the positions of the relation generators
+    for which it does not; gamma is well defined when the list is empty."""
     tw = twisted_relations(n, 1)
     violations = []
     for gi, rho in enumerate(n.relations.generators):
@@ -87,11 +74,7 @@ def validate_gamma_structure(n: GammaSheaf, collect: bool = False):
         image = FreeVector(n.ring, comps)
         if not normal_form(image, tw).is_zero():
             violations.append(gi)
-            if not collect:
-                return False
-    if collect:
-        return not violations, violations
-    return True
+    return violations
 
 
 @dataclass(frozen=True)
@@ -203,34 +186,21 @@ def _check_sequence(ctx: QuotientContext, seq) -> None:
         raise ValueError("sequence does not generate the quotient ideal")
 
 
-def twist_to_cartier(n: GammaSheaf, seq=(),
-                     method: str = "projection") -> CartierModule:
+def twist_to_cartier(n: GammaSheaf, seq=()) -> CartierModule:
     """The Cartier structure on N tensor omega.  Over the ambient ring the
     table is kappa(x^a e_j) = sum_i cartier_volume(A_ij x^a) e_i; over a
     quotient presented by a regular sequence f_1..f_c the Koszul dualizing
-    factor (f_1...f_c)^(p-1) multiplies in.  ``method`` selects between the
-    volume-form route ("projection") and the dual-basis route ("dual"); both
-    produce the same table."""
+    factor (f_1...f_c)^(p-1) multiplies in."""
     _check_sequence(n.ctx, seq)
     ring = n.ring
     p = ring.field.p
     factor = math.prod(seq, start=Polynomial.one(ring)) ** (p - 1)
-    top = tuple(p - 1 for _ in range(ring.nvars))
     table: dict = {}
     for j in range(n.rank):
         scaled = [factor * n.matrix[i][j] for i in range(n.rank)]
-        if method == "dual":
-            decomposed = [pth_root_decompose(g) for g in scaled]
         for a in product(range(p), repeat=ring.nvars):
-            if method == "projection":
-                xa = Polynomial.monomial(ring, a)
-                comps = [cartier_volume(g * xa) for g in scaled]
-            elif method == "dual":
-                slot = tuple(t - x for t, x in zip(top, a))
-                comps = [dec.part(slot) for dec in decomposed]
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            v = FreeVector(ring, comps)
+            xa = Polynomial.monomial(ring, a)
+            v = FreeVector(ring, (cartier_volume(g * xa) for g in scaled))
             if v:
                 table[(j, a)] = v
     return CartierModule.create(n.ctx, n.rank, n.relations.generators, table)

@@ -2,7 +2,7 @@
 restriction-of-scalars computations).  Matrices are lists of row lists."""
 from __future__ import annotations
 
-from .field import FieldElement, FieldSpec, frobenius, frobenius_root
+from .field import FieldElement, FieldSpec, frobenius_root
 
 
 def zeros(spec: FieldSpec, rows: int, cols: int) -> list[list[FieldElement]]:
@@ -42,24 +42,9 @@ def mat_vec(a: list[list[FieldElement]],
     return [c[0] for c in mat_mul(a, [[x] for x in v])]
 
 
-def mat_entrywise(a, fn) -> list[list[FieldElement]]:
-    return [[fn(x) for x in row] for row in a]
-
-
-def mat_frobenius(a, k: int = 1):
-    """Entrywise x -> x^(p^k)."""
-    out = a
-    for _ in range(k):
-        out = mat_entrywise(out, frobenius)
-    return out
-
-
-def mat_frobenius_root(a, k: int = 1):
-    """Entrywise unique p^k-th root."""
-    out = a
-    for _ in range(k):
-        out = mat_entrywise(out, frobenius_root)
-    return out
+def mat_frobenius_root(a) -> list[list[FieldElement]]:
+    """Entrywise unique p-th root."""
+    return [[frobenius_root(x) for x in row] for row in a]
 
 
 def rref(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
@@ -86,10 +71,6 @@ def rref(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[0])
 
 
 def reduce_against(rows_rref, pivots, v: list[FieldElement]) -> list[FieldElement]:

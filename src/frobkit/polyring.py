@@ -182,11 +182,6 @@ class Polynomial:
         m = max(self.terms, key=key)
         return m, self.terms[m]
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
     def sorted_terms(self) -> list[tuple[Monomial, FieldElement]]:
         key = self.ctx.monomial_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
@@ -268,12 +263,6 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.leading()
-        return self.scale(c.inverse())
 
     def frobenius_twist(self, k: int = 1) -> "Polynomial":
         """Coefficients to the p^k, exponents times p^k (equals f^(p^k) in
@@ -742,6 +731,15 @@ class QuotientContext:
     @classmethod
     def trivial(cls, ring: RingContext) -> "QuotientContext":
         return cls(ring, GroebnerBasis(ring, 1, ()))
+
+    def module_relations(self, rank: int, vectors=()) -> GroebnerBasis:
+        """Groebner basis of the submodule of P^rank generated by the vectors
+        and I e_j, the relations of a quotient of R^rank."""
+        gens = list(vectors)
+        for g in self.ideal_gb.generators:
+            for j in range(rank):
+                gens.append(FreeVector.unit(self.ring, rank, j, g.comps[0]))
+        return module_buchberger(gens, rank, self.ring)
 
     def nf(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.ideal_gb)

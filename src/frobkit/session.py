@@ -7,18 +7,18 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from .cartier import (CartierModule, is_crystal_supported_on, is_nilpotent,
-                      validate_cartier_structure)
+from .cartier import (CartierModule, cartier_structure_violations,
+                      is_crystal_supported_on, is_nilpotent)
 from .field import FieldSpec
-from .gamma import (GammaSheaf, gamma_is_nilpotent, gen_stable_dimension,
-                    twist_to_cartier, twist_to_gamma, validate_gamma_structure)
+from .gamma import (GammaSheaf, gamma_is_nilpotent, gamma_structure_violations,
+                    gen_stable_dimension, twist_to_cartier, twist_to_gamma)
 from .koszul import (ClosedImmersion, cartier_pullback,
                      check_pullback_twist_commutes, dualizing_module,
                      gamma_pullback, transition_factor)
-from .polyring import (Limits, ParseError, QuotientContext, RingContext,
-                       buchberger, current_limits, format_polynomial,
-                       format_vector, parse_polynomial, parse_vector,
-                       use_limits)
+from .polyring import (BudgetExceededError, Limits, ParseError,
+                       QuotientContext, RingContext, buchberger,
+                       current_limits, format_polynomial, format_vector,
+                       parse_polynomial, parse_vector, use_limits)
 from .solutions import (RationalPoint, artin_schreier_kernel,
                         enumerate_points, point_field, solutions_at_point)
 
@@ -29,6 +29,21 @@ class SessionError(ValueError):
 
 class CommandError(RuntimeError):
     """A command failed during execution."""
+
+
+def _texts(value, what: str) -> list:
+    """A list of strings from the session file; a bare string is refused,
+    not split into characters."""
+    if not isinstance(value, list) or not all(isinstance(t, str)
+                                              for t in value):
+        raise SessionError(f"{what} must be a list of strings, not {value!r}")
+    return value
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SessionError(f"{what} must be a JSON object, not {value!r}")
+    return value
 
 
 def _parse_kappa_key(key: str, rank: int, nvars: int, p: int) -> tuple:
@@ -68,23 +83,36 @@ def serialize_gamma(n: GammaSheaf) -> dict:
 
 
 class Session:
-    """A parsed session: context plus a mutable object namespace."""
+    """A parsed session: context plus a mutable object namespace.  Every
+    failure to load one raises SessionError."""
 
     def __init__(self, data: dict):
         try:
             self.field = FieldSpec.from_json(data["field"])
             ring_spec = data["ring"]
-            self.ring = RingContext(self.field, tuple(ring_spec["vars"]),
+            self.ring = RingContext(self.field,
+                                    tuple(_texts(ring_spec["vars"], "vars")),
                                     ring_spec.get("order", "grevlex"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SessionError(f"bad field/ring specification: {exc}") from exc
-        ideal_texts = data.get("ideal", [])
-        self.ideal_gens = [parse_polynomial(self.ring, t) for t in ideal_texts]
-        self.ctx = QuotientContext.from_generators(self.ring, self.ideal_gens)
+        try:
+            self.ideal_gens = [parse_polynomial(self.ring, t)
+                               for t in _texts(data.get("ideal", []), "ideal")]
+        except ParseError as exc:
+            raise SessionError(f"ideal: {exc}") from exc
+        objects = _mapping(data.get("objects", {}), "objects")
         self.objects: dict[str, Any] = {}
-        for name, spec in data.get("objects", {}).items():
-            self.objects[name] = self._build_object(name, spec)
-        self.commands = list(data.get("commands", []))
+        try:
+            self.ctx = QuotientContext.from_generators(self.ring,
+                                                       self.ideal_gens)
+            for name, spec in objects.items():
+                self.objects[name] = self._build_object(name, spec)
+        except BudgetExceededError as exc:
+            raise SessionError(f"limit spent while loading: {exc}") from exc
+        commands = data.get("commands", [])
+        if not isinstance(commands, list):
+            raise SessionError(f"commands must be a list, not {commands!r}")
+        self.commands = list(commands)
         for cmd in self.commands:
             if not isinstance(cmd, dict) or "op" not in cmd:
                 raise SessionError("each command needs an \"op\" field")
@@ -94,13 +122,15 @@ class Session:
         if not isinstance(spec, dict) or len(spec) != 1:
             raise SessionError(f"object {name!r} must have exactly one kind")
         kind, body = next(iter(spec.items()))
+        _mapping(body, f"object {name!r}: {kind}")
         try:
             if kind == "module":
                 return self._build_module(body)
             if kind == "gamma":
                 return self._build_gamma(body)
             if kind == "immersion":
-                seq = [parse_polynomial(self.ring, t) for t in body["sequence"]]
+                seq = [parse_polynomial(self.ring, t)
+                       for t in _texts(body["sequence"], "sequence")]
                 return ClosedImmersion.create(self.ring, seq)
             if kind == "point":
                 m = _int_arg(body, "m")
@@ -116,20 +146,20 @@ class Session:
                 if len(coords) != self.ring.nvars:
                     raise SessionError("point coordinate count mismatch")
                 return RationalPoint(m, spec_f, coords)
-        except (ParseError, ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise SessionError(f"object {name!r}: {exc}") from exc
         raise SessionError(f"object {name!r}: unknown kind {kind!r}")
 
     def _build_module(self, body: dict) -> CartierModule:
         rank = int(body["rank"])
         rels = [parse_vector(self.ring, rank, t)
-                for t in body.get("relations", [])]
+                for t in _texts(body.get("relations", []), "relations")]
         table = {}
-        for key, text in body.get("kappa", {}).items():
+        for key, text in _mapping(body.get("kappa", {}), "kappa").items():
             j, a = _parse_kappa_key(key, rank, self.ring.nvars, self.field.p)
             table[(j, a)] = parse_vector(self.ring, rank, text)
         m = CartierModule.create(self.ctx, rank, rels, table)
-        if not validate_cartier_structure(m):
+        if cartier_structure_violations(m):
             raise SessionError("kappa table is inconsistent with the "
                                "relations")
         return m
@@ -137,11 +167,12 @@ class Session:
     def _build_gamma(self, body: dict) -> GammaSheaf:
         rank = int(body["rank"])
         rels = [parse_vector(self.ring, rank, t)
-                for t in body.get("relations", [])]
-        matrix = [[parse_polynomial(self.ring, e) for e in row]
+                for t in _texts(body.get("relations", []), "relations")]
+        matrix = [[parse_polynomial(self.ring, e)
+                   for e in _texts(row, "matrix row")]
                   for row in body["matrix"]]
         n = GammaSheaf.create(self.ctx, rank, matrix, rels)
-        if not validate_gamma_structure(n):
+        if gamma_structure_violations(n):
             raise SessionError("gamma matrix is inconsistent with the "
                                "relations")
         return n
@@ -185,12 +216,12 @@ def _h_gb(s: Session, cmd: dict) -> dict:
 def _h_validate(s: Session, cmd: dict) -> dict:
     obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
     if isinstance(obj, CartierModule):
-        ok, bad = validate_cartier_structure(obj, collect=True)
-        return {"valid": ok,
+        bad = cartier_structure_violations(obj)
+        return {"valid": not bad,
                 "violations": [{"relation": g, "residue": list(a)}
                                for g, a in bad]}
-    ok, bad = validate_gamma_structure(obj, collect=True)
-    return {"valid": ok, "violations": [{"relation": g} for g in bad]}
+    bad = gamma_structure_violations(obj)
+    return {"valid": not bad, "violations": [{"relation": g} for g in bad]}
 
 
 def _int_arg(cmd: dict, key: str, default=None, least: int = 1) -> int:
@@ -228,7 +259,7 @@ def _h_supported_on(s: Session, cmd: dict) -> dict:
 def _h_twist_to_cartier(s: Session, cmd: dict) -> dict:
     n = s._get(cmd, "target", (GammaSheaf,))
     seq = [parse_polynomial(s.ring, t) for t in cmd.get("sequence", [])]
-    m = twist_to_cartier(n, seq, cmd.get("method", "projection"))
+    m = twist_to_cartier(n, seq)
     s._store(cmd, m)
     return {"module": serialize_module(m)}
 
@@ -361,6 +392,9 @@ def load_session_file(path: str) -> dict:
         except json.JSONDecodeError as exc:
             raise SessionError(f"invalid JSON at line {exc.lineno} column "
                                f"{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise SessionError(f"session file is not UTF-8 text: "
+                               f"{exc}") from exc
     if not isinstance(data, dict):
         raise SessionError("session file must hold a JSON object")
     return data

@@ -115,11 +115,7 @@ def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
     spec = pt.spec
     p, m, s = spec.p, spec.e, root.rank
     a_at = _check_fiber(root, pt)
-    fb = [spec.one()]
-    if m > 1:
-        g = spec.generator()
-        for _ in range(m - 1):
-            fb.append(fb[-1] * g)
+    fb = spec.power_basis()
     columns = []
     for i in range(s):
         for t in range(m):
@@ -197,15 +193,3 @@ def artin_schreier_kernel(q: int) -> int:
         raise AssertionError("fixed set is not an F_p-subspace")
     return dim
 
-
-def solution_profile(root: GammaSheaf, ctx: QuotientContext,
-                     m_max: int) -> list[dict]:
-    """Dimensions of the solution space at every rational point over each
-    extension degree up to m_max."""
-    rows = []
-    for m in range(1, m_max + 1):
-        for pt in enumerate_points(ctx, m):
-            space = solutions_at_point(root, pt)
-            rows.append({"m": m, "point": pt.to_json()["coords"],
-                         "dim": space.dimension})
-    return rows

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from frobkit.cartier import (CartierModule, InfiniteDimensionalError,
-                             SemilinearEndo, hom_commuting,
-                             is_crystal_supported_on, is_nilpotent,
-                             kappa_apply, kappa_lift, kappa_power,
+                             SemilinearEndo, cartier_structure_violations,
+                             hom_commuting, is_crystal_supported_on,
+                             is_nilpotent, kappa_apply, kappa_lift,
                              nil_isomorphism_test, restrict_to_principal_open,
                              semilinear_nilpotent, stable_image,
-                             to_semilinear, validate_cartier_structure,
-                             volume_cartier_module)
+                             to_semilinear, volume_cartier_module)
 from frobkit.field import FieldSpec
 from frobkit.gamma import twist_to_cartier
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
@@ -28,7 +27,7 @@ def test_volume_module_basics():
     for p in (2, 3):
         r = ring(p, "x")
         vol = volume_cartier_module(r)
-        assert validate_cartier_structure(vol)
+        assert not cartier_structure_violations(vol)
         x = Polynomial.variable(r, "x")
         e = FreeVector.unit(r, 1, 0)
         # kappa(x^(p-1) e) = e
@@ -43,8 +42,7 @@ def test_kappa_apply_known_iterates():
     e = FreeVector.unit(r, 1, 0)
     assert kappa_apply(vol, e.scale(x)) == e
     # x^3 -> x -> 1
-    assert kappa_power(vol, 2, e.scale(x ** 3)) == e
-    assert kappa_power(vol, 0, e.scale(x ** 3)) == e.scale(x ** 3)
+    assert kappa_apply(vol, kappa_apply(vol, e.scale(x ** 3))) == e
     r3 = ring(3, "x")
     vol3 = volume_cartier_module(r3)
     x3 = Polynomial.variable(r3, "x")
@@ -74,11 +72,10 @@ def test_validate_rejects_inconsistent_table():
     e = FreeVector.unit(r, 1, 0)
     # kappa(e) = e over R = k is fine
     good = CartierModule.create(ctx, 1, table={(0, (0,)): e})
-    assert validate_cartier_structure(good)
+    assert not cartier_structure_violations(good)
     # but kappa(x e) = e is not: x e is a relation, its image must vanish
     bad = CartierModule.create(ctx, 1, table={(0, (1,)): e})
-    ok, violations = validate_cartier_structure(bad, collect=True)
-    assert not ok and violations
+    assert cartier_structure_violations(bad) == [(0, (0,))]
 
 
 def test_kappa_lift_respects_relations_when_valid():
@@ -89,7 +86,7 @@ def test_kappa_lift_respects_relations_when_valid():
     for _ in range(10):
         n = random_gamma(rng, ctx, 2, max_deg=1)
         m = twist_to_cartier(n, [x ** 2])
-        assert validate_cartier_structure(m)
+        assert not cartier_structure_violations(m)
         for rho in m.relations.generators:
             assert m.nf(kappa_lift(m, rho)).is_zero()
 
@@ -215,13 +212,6 @@ def test_hom_commuting_dimensions():
     unit = SemilinearEndo(1, ((gf4.one(),),), gf4)
     # c = c^(1/2) forces c in the prime field: dimension 1
     assert len(hom_commuting(unit, unit)) == 1
-
-
-def test_hom_direction_mismatch():
-    fwd = SemilinearEndo(1, ((F2.one(),),), F2, "forward")
-    inv = SemilinearEndo(1, ((F2.one(),),), F2, "inverse")
-    with pytest.raises(ValueError):
-        hom_commuting(fwd, inv)
 
 
 def test_nil_isomorphism():

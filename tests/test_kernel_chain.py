@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from frobkit.field import FieldSpec
 from frobkit.gamma import (GammaSheaf, _kernel_chain, gamma_is_nilpotent,
-                           gamma_iterate, gen_stable_dimension,
-                           twisted_relations, validate_gamma_structure)
+                           gamma_iterate, gamma_structure_violations,
+                           gen_stable_dimension, twisted_relations)
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
                               RingContext, module_buchberger, module_staircase)
 from frobkit.verify import random_polynomial
@@ -119,7 +119,7 @@ roots = st.one_of(
 def test_chain_matches_full_loop(case):
     seed, (p, names, k, ambient), boxes = case
     n = random_root(seed, p, names, k, len(boxes), ambient, boxes)
-    assert validate_gamma_structure(n)
+    assert not gamma_structure_violations(n)
     dims = full_loop(n)
     chain = _kernel_chain(n)
     # a repeat ends the chain over P and for free N only
@@ -158,7 +158,7 @@ def test_non_free_chain_runs_past_a_repeat():
     x, zero = Polynomial.variable(ctx.ring, "x"), Polynomial.zero(ctx.ring)
     rels = [FreeVector.unit(ctx.ring, 2, j, x) for j in range(2)]
     n = GammaSheaf.create(ctx, 2, [[x, zero], [zero, x]], rels)
-    assert validate_gamma_structure(n)
+    assert not gamma_structure_violations(n)
     assert [r for _, r in _kernel_chain(n)] == [2, 2, 0]
     assert gen_stable_dimension(n) == 0
     verdict = gamma_is_nilpotent(n)
@@ -172,7 +172,7 @@ def test_non_free_nilpotence_index_past_dim():
     x = Polynomial.variable(ctx.ring, "x")
     n = GammaSheaf.create(ctx, 1, [[x ** 2]], [FreeVector.unit(ctx.ring, 1,
                                                                0, x)])
-    assert validate_gamma_structure(n)
+    assert not gamma_structure_violations(n)
     assert [r for _, r in _kernel_chain(n)] == [1, 0]
     verdict = gamma_is_nilpotent(n)
     assert verdict.is_nilpotent and verdict.index == 2

@@ -14,7 +14,7 @@ from frobkit.cartier import (CartierModule, is_nilpotent,
                              restrict_to_principal_open)
 from frobkit.cli import main
 from frobkit.field import FieldSpec
-from frobkit.gamma import GammaSheaf, validate_gamma_structure
+from frobkit.gamma import GammaSheaf, gamma_structure_violations
 from frobkit.polyring import (BudgetExceededError, Polynomial,
                               QuotientContext, RingContext, parse_vector)
 
@@ -79,12 +79,12 @@ def test_every_groebner_path_obeys_the_spair_limit():
     # each quotient of the saturation takes up to three
     r = CartierModule.create(ctx, 1, [parse_vector(ring, 1, "x^2*y + y^3")])
     assert is_nilpotent(m).is_nilpotent
-    assert validate_gamma_structure(n)
+    assert not gamma_structure_violations(n)
     restrict_to_principal_open(r, x + y)
     with use_limits(Limits(spair=1)):
         assert is_nilpotent(m).status == "budget_exceeded"
         with pytest.raises(BudgetExceededError):
-            validate_gamma_structure(n)
+            gamma_structure_violations(n)
         with pytest.raises(BudgetExceededError):
             restrict_to_principal_open(r, x + y)
 

@@ -268,6 +268,52 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def rejected(tmp_path, capsys, data, *flags) -> str:
+    """The message of the one structured error record `frobkit run` prints
+    for a session it cannot load, with exit code 2."""
+    code = main(["run", write_session(tmp_path, data), *flags])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    rec = json.loads(lines[0])
+    assert rec["status"] == "error" and rec["error"]
+    return rec["error"]
+
+
+def test_limit_spent_while_loading_is_rejected(tmp_path, capsys):
+    data = base_session(ring={"vars": ["x", "y"]},
+                        ideal=["x^2 + y", "y^2 + x", "x*y + 1"])
+    msg = rejected(tmp_path, capsys, data, "--spair-budget", "1")
+    assert "limit spent while loading" in msg
+
+
+def test_object_body_must_be_an_object(tmp_path, capsys):
+    data = base_session(objects={"P": {"point": 5}})
+    assert "'P'" in rejected(tmp_path, capsys, data)
+
+
+def test_unparsable_ideal_generator_is_rejected(tmp_path, capsys):
+    assert "ideal" in rejected(tmp_path, capsys, base_session(ideal=["x+"]))
+
+
+def test_wrong_container_types_are_rejected(tmp_path, capsys):
+    assert "objects" in rejected(tmp_path, capsys, base_session(objects=[]))
+    assert "ideal" in rejected(tmp_path, capsys, base_session(ideal=[3]))
+
+
+def test_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["run", str(path)]) == 2
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["status"] == "error" and "UTF-8" in rec["error"]
+
+
+def test_bare_string_is_not_split_into_a_list(tmp_path, capsys):
+    assert "ideal" in rejected(tmp_path, capsys, base_session(ideal="x"))
+    data = base_session(ring={"vars": "xy"})
+    assert "vars" in rejected(tmp_path, capsys, data)
+
+
 def test_cli_out_file_and_byte_identical(tmp_path, capsys):
     data = base_session(commands=[
         {"op": "twist-to-cartier", "target": "N1"},

@@ -9,8 +9,7 @@ from frobkit.polyring import (Limits, Polynomial, QuotientContext,
 from frobkit.solutions import (FiberDegenerationError, GuardExceededError,
                                artin_schreier_kernel, brute_force_solutions,
                                enumerate_points, point_field,
-                               smallest_irreducible, solution_profile,
-                               solutions_at_point)
+                               smallest_irreducible, solutions_at_point)
 from frobkit.verify import random_gamma
 
 
@@ -148,13 +147,16 @@ def test_nilpotent_root_has_zero_solutions():
 
 
 def test_solution_profile():
+    # the constant sheaf has a one-dimensional stalk at every point over
+    # GF(2) and GF(4), the zero root none
     ctx = ambient(2, "x")
-    root = const_root(ctx, 1)
-    rows = solution_profile(root, ctx, 2)
-    assert rows and all(r["dim"] == 1 for r in rows)
-    assert {r["m"] for r in rows} == {1, 2}
-    zero = const_root(ctx, 0)
-    assert all(r["dim"] == 0 for r in solution_profile(zero, ctx, 2))
+    one, zero = const_root(ctx, 1), const_root(ctx, 0)
+    for m in (1, 2):
+        pts = enumerate_points(ctx, m)
+        assert len(pts) == 2 ** m
+        for pt in pts:
+            assert solutions_at_point(one, pt).dimension == 1
+            assert solutions_at_point(zero, pt).dimension == 0
 
 
 def test_extension_base_field_points():
