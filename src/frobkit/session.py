@@ -40,6 +40,19 @@ def _texts(value, what: str) -> list:
     return value
 
 
+def _int_lists(value, what: str) -> list:
+    """A list of lists of integers from the session file, such as a point's
+    coordinates; a string or a float is refused, not read digit by digit."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and all(isinstance(c, int)
+                                          and not isinstance(c, bool)
+                                          for c in row)
+            for row in value):
+        raise SessionError(f"{what} must be a list of lists of integers, "
+                           f"not {value!r}")
+    return value
+
+
 def _mapping(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise SessionError(f"{what} must be a JSON object, not {value!r}")
@@ -142,7 +155,8 @@ class Session:
                         raise SessionError(f"point field of size {size} "
                                            f"exceeds the guard {guard}")
                     spec_f = point_field(spec_f.p, m)
-                coords = tuple(spec_f.element(c) for c in body["coords"])
+                coords = tuple(spec_f.element(c) for c in
+                               _int_lists(body["coords"], "coords"))
                 if len(coords) != self.ring.nvars:
                     raise SessionError("point coordinate count mismatch")
                 return RationalPoint(m, spec_f, coords)
@@ -151,7 +165,7 @@ class Session:
         raise SessionError(f"object {name!r}: unknown kind {kind!r}")
 
     def _build_module(self, body: dict) -> CartierModule:
-        rank = int(body["rank"])
+        rank = _int_arg(body, "rank")
         rels = [parse_vector(self.ring, rank, t)
                 for t in _texts(body.get("relations", []), "relations")]
         table = {}
@@ -165,7 +179,7 @@ class Session:
         return m
 
     def _build_gamma(self, body: dict) -> GammaSheaf:
-        rank = int(body["rank"])
+        rank = _int_arg(body, "rank")
         rels = [parse_vector(self.ring, rank, t)
                 for t in _texts(body.get("relations", []), "relations")]
         matrix = [[parse_polynomial(self.ring, e)
@@ -208,7 +222,8 @@ class Session:
 def _h_gb(s: Session, cmd: dict) -> dict:
     texts = cmd.get("polys")
     polys = (s.ideal_gens if texts is None
-             else [parse_polynomial(s.ring, t) for t in texts])
+             else [parse_polynomial(s.ring, t)
+                   for t in _texts(texts, "polys")])
     gb = buchberger(polys, s.ring)
     return {"basis": [format_polynomial(g) for g in gb.polys]}
 
@@ -251,14 +266,16 @@ def _h_crystal_zero(s: Session, cmd: dict) -> dict:
 
 def _h_supported_on(s: Session, cmd: dict) -> dict:
     m = s._get(cmd, "target", (CartierModule,))
-    gens = [parse_polynomial(s.ring, t) for t in cmd.get("ideal", [])]
+    gens = [parse_polynomial(s.ring, t)
+            for t in _texts(cmd.get("ideal", []), "ideal")]
     ok = is_crystal_supported_on(m, gens)
     return {"supported": ok}
 
 
 def _h_twist_to_cartier(s: Session, cmd: dict) -> dict:
     n = s._get(cmd, "target", (GammaSheaf,))
-    seq = [parse_polynomial(s.ring, t) for t in cmd.get("sequence", [])]
+    seq = [parse_polynomial(s.ring, t)
+           for t in _texts(cmd.get("sequence", []), "sequence")]
     m = twist_to_cartier(n, seq)
     s._store(cmd, m)
     return {"module": serialize_module(m)}
@@ -291,8 +308,8 @@ def _h_dualizing(s: Session, cmd: dict) -> dict:
 
 
 def _h_transition(s: Session, cmd: dict) -> dict:
-    f = [parse_polynomial(s.ring, t) for t in cmd["f"]]
-    g = [parse_polynomial(s.ring, t) for t in cmd["g"]]
+    f = [parse_polynomial(s.ring, t) for t in _texts(cmd["f"], "f")]
+    g = [parse_polynomial(s.ring, t) for t in _texts(cmd["g"], "g")]
     tr = transition_factor(f, g, s.ring)
     return {"det": format_polynomial(tr.det),
             "matrix": [[format_polynomial(e) for e in row]

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
-from frobkit.field import FieldError, FieldSpec, frobenius, frobenius_root
+from frobkit.field import (PRIME_BOUND, FieldError, FieldSpec, _is_prime,
+                           frobenius, frobenius_root)
 
 GF4 = FieldSpec(2, 2, (1, 1, 1))          # x^2 + x + 1
 GF8 = FieldSpec(2, 3, (1, 1, 0, 1))       # x^3 + x + 1
@@ -107,3 +109,46 @@ def test_equal_specs_built_apart_mix():
     assert g + h == GF4.zero()
     assert g * h == g * g
     assert g - h == GF4.zero()
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    sieve = bytearray([1]) * 10 ** 5
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, 10 ** 5, d)))
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == [
+        n for n in range(10 ** 5) if sieve[n]]
+    assert all(_is_prime(n) == _trial_division(n)
+               for n in range(10 ** 9, 10 ** 9 + 200))
+
+
+@pytest.mark.parametrize("n", [
+    2047,                         # strong pseudoprime to base 2
+    3215031751,                   # ... to bases 2, 3, 5, 7
+    3825123056546413051,          # ... to the first 11 primes
+    318665857834031151167461,     # ... to the first 12 primes
+])  # the last is 399165290221 * 798330580441
+def test_strong_pseudoprimes_are_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(FieldError, match="not prime"):
+        FieldSpec(n)
+
+
+def test_large_primes_are_decided_at_once():
+    start = time.perf_counter()
+    for p in (2 ** 61 - 1, 2 ** 31 - 1, 10 ** 9 + 7):
+        spec = FieldSpec(p)
+        assert spec.from_int(-1).inverse() == spec.from_int(-1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_primes_past_the_exact_bound_are_refused():
+    assert _is_prime(PRIME_BOUND - 1) is False
+    for n in (PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(FieldError, match="too large"):
+            FieldSpec(n)

@@ -185,6 +185,58 @@ def test_point_object_guard_fires_before_the_field_is_built():
     assert time.perf_counter() - start < 1.0
 
 
+def test_fractional_rank_is_rejected():
+    # int() would load either object as rank 1
+    for kind, body in (("gamma", {"rank": 1.7, "matrix": [["1"]]}),
+                       ("module", {"rank": 1.7, "kappa": {}})):
+        with pytest.raises(SessionError, match=(
+                r"object 'N': argument 'rank' must be a positive integer, "
+                r"not 1\.7")):
+            Session(base_session(objects={"N": {kind: body}}))
+
+
+def test_point_coords_must_be_a_list():
+    def point(coords):
+        return base_session(ring={"vars": ["x", "y"]}, objects={
+            "P": {"point": {"m": 1, "coords": coords}}})
+
+    pt = Session(point([[1], [0]])).objects["P"]
+    assert pt.to_json()["coords"] == [[1], [0]]
+    # the string "10" would load as the point (1, 0)
+    for bad in ("10", ["1", "0"], [[1.0], [0]]):
+        with pytest.raises(SessionError, match=(
+                "object 'P': coords must be a list of lists of integers")):
+            Session(point(bad))
+
+
+def test_session_over_a_large_prime_loads_at_once():
+    start = time.perf_counter()
+    reports = run_session(base_session(
+        field={"p": 2305843009213693951}, ring={"vars": ["x", "y"]},
+        commands=[{"op": "gb", "polys": ["x^2 + 3*y", "x*y - 1"]}]))
+    assert time.perf_counter() - start < 1.0
+    assert reports[0]["status"] == "ok"
+    assert "x^2 + 3*y" in reports[0]["result"]["basis"]
+
+
+@pytest.mark.parametrize("cmd,key", [
+    ({"op": "gb", "polys": "xy"}, "polys"),
+    ({"op": "supported-on", "target": "Z", "ideal": "x"}, "ideal"),
+    ({"op": "twist-to-cartier", "target": "N1", "sequence": "xy"},
+     "sequence"),
+    ({"op": "transition", "f": "x", "g": ["x"]}, "f"),
+    ({"op": "transition", "f": ["x"], "g": "x"}, "g"),
+], ids=["gb", "supported-on", "twist-to-cartier", "transition-f",
+        "transition-g"])
+def test_bare_string_argument_is_a_structured_error(cmd, key):
+    # split into characters, "xy" would be the sequence or ideal (x, y)
+    reports = run_session(base_session(ring={"vars": ["x", "y"]},
+                                       ideal=["x", "y"], commands=[cmd]))
+    assert reports[0]["status"] == "error"
+    assert reports[0]["error"] == (f"{key} must be a list of strings, "
+                                   f"not {cmd[key]!r}")
+
+
 def test_bad_verify_suite_arguments_are_structured_errors():
     reports = run_session(base_session(commands=[
         {"op": "verify-suite", "quick": True, "seed": "x"},
