@@ -352,36 +352,21 @@ def hom_commuting(m: SemilinearEndo, n: SemilinearEndo) -> list[tuple]:
     spec = m.spec
     if n.spec != spec:
         raise ValueError("field mismatch")
-    p, e = spec.p, spec.e
-    fb = spec.power_basis()
     um, un = m.rows(), n.rows()
-    unknowns = []
-    columns = []
+    # the image of g^t E_rs is g^t U_M[s][j] in row r, minus
+    # U_N[i][r] (g^t)^(1/p) in column s
+    basis_root = [(b, frobenius_root(b)) for b in spec.power_basis()]
+    images = []
     for r in range(n.dim):
         for s in range(m.dim):
-            for t in range(e):
-                phi = linalg.zeros(spec, n.dim, m.dim)
-                phi[r][s] = fb[t]
-                lhs = linalg.mat_mul(phi, um)
-                rhs = linalg.mat_mul(un, linalg.mat_frobenius_root(phi))
-                col = []
+            for bt, root in basis_root:
+                img = linalg.zeros(spec, n.dim, m.dim)
+                img[r] = [bt * x for x in um[s]]
                 for i in range(n.dim):
-                    for j in range(m.dim):
-                        diff = lhs[i][j] - rhs[i][j]
-                        col.extend(diff.coeffs)
-                unknowns.append((r, s, t))
-                columns.append(col)
-    nrows = len(columns[0]) if columns else 0
-    system = [[columns[u][row] for u in range(len(columns))]
-              for row in range(nrows)]
-    basis = []
-    for sol in linalg.nullspace_mod_p(system, len(unknowns), p):
-        phi = linalg.zeros(spec, n.dim, m.dim)
-        for (r, s, t), y in zip(unknowns, sol):
-            if y:
-                phi[r][s] = phi[r][s] + fb[t] * spec.from_int(y)
-        basis.append(tuple(tuple(row) for row in phi))
-    return basis
+                    img[i][s] = img[i][s] - un[i][r] * root
+                images.append([x for row in img for x in row])
+    return [tuple(tuple(phi[r * m.dim:(r + 1) * m.dim]) for r in range(n.dim))
+            for phi in linalg.prime_field_kernel(images, spec)]
 
 
 def _commutes(phi: list[list[FieldElement]], m: SemilinearEndo,

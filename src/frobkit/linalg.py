@@ -146,3 +146,18 @@ def nullspace_mod_p(a: list[list[int]], ncols: int, p: int) -> list[list[int]]:
             x[c] = -row[f] % p
         basis.append(x)
     return basis
+
+
+def prime_field_kernel(images: list[list[FieldElement]],
+                       spec: FieldSpec) -> list[list[FieldElement]]:
+    """Kernel of an F_p-linear map from GF(p^e)^n by restriction of scalars
+    to F_p.  ``images[i * e + t]`` is the image of g^t e_i, for the power
+    basis 1, g, ..., g^(e-1); each kernel vector is returned as its n field
+    coordinates.  The power basis is the coefficient basis, so the F_p
+    coordinates (y_{i,0}, ..., y_{i,e-1}) are the coefficients of entry i."""
+    e = spec.e
+    columns = [[c for x in image for c in x.coeffs] for image in images]
+    system = list(zip(*columns))
+    return [[FieldElement(spec, tuple(sol[i:i + e]))
+             for i in range(0, len(sol), e)]
+            for sol in nullspace_mod_p(system, len(images), spec.p)]

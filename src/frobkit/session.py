@@ -17,10 +17,11 @@ from .koszul import (ClosedImmersion, cartier_pullback,
                      gamma_pullback, transition_factor)
 from .polyring import (BudgetExceededError, Limits, ParseError,
                        QuotientContext, RingContext, buchberger,
-                       current_limits, format_polynomial, format_vector,
-                       parse_polynomial, parse_vector, use_limits)
-from .solutions import (RationalPoint, artin_schreier_kernel,
-                        enumerate_points, point_field, solutions_at_point)
+                       format_polynomial, format_vector, parse_polynomial,
+                       parse_vector, use_limits)
+from .solutions import (GuardExceededError, RationalPoint,
+                        artin_schreier_kernel, enumerate_points,
+                        resolve_point_field, solutions_at_point)
 
 
 class SessionError(ValueError):
@@ -147,20 +148,14 @@ class Session:
                 return ClosedImmersion.create(self.ring, seq)
             if kind == "point":
                 m = _int_arg(body, "m")
-                spec_f = self.field
-                if spec_f.e == 1:
-                    # finding the modulus of GF(p^m) is itself a search
-                    size, guard = spec_f.p ** m, current_limits().guard
-                    if size > guard:
-                        raise SessionError(f"point field of size {size} "
-                                           f"exceeds the guard {guard}")
-                    spec_f = point_field(spec_f.p, m)
+                spec_f = resolve_point_field(self.field, m)
                 coords = tuple(spec_f.element(c) for c in
                                _int_lists(body["coords"], "coords"))
                 if len(coords) != self.ring.nvars:
                     raise SessionError("point coordinate count mismatch")
                 return RationalPoint(m, spec_f, coords)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError,
+                GuardExceededError) as exc:
             raise SessionError(f"object {name!r}: {exc}") from exc
         raise SessionError(f"object {name!r}: unknown kind {kind!r}")
 

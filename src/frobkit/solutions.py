@@ -6,11 +6,12 @@ A = (1) recovers the Artin-Schreier kernel Z/pZ."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .field import FieldElement, FieldSpec, _is_irreducible, _is_prime
 from .gamma import GammaSheaf
-from .linalg import nullspace_mod_p
+from .linalg import prime_field_kernel
 from .polyring import QuotientContext, current_limits
 
 
@@ -33,7 +34,15 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise ValueError("no irreducible found")  # unreachable: they always exist
 
 
+# Point fields kept built at once; each holds its exp/log tables once used,
+# at most 2.4 MB (those of GF(2^13), see field.TABLE_CAP).
+_POINT_FIELDS = 8
+
+
+@lru_cache(maxsize=_POINT_FIELDS)
 def point_field(p: int, m: int) -> FieldSpec:
+    """GF(p^m) presented by ``smallest_irreducible``, built once per (p, m)
+    so that its exp/log tables are shared by every point over it."""
     if m == 1:
         return FieldSpec(p)
     return FieldSpec(p, m, smallest_irreducible(p, m))
@@ -63,7 +72,14 @@ class SolutionSpace:
                 "basis": [[list(c.coeffs) for c in vec] for vec in self.basis]}
 
 
-def _resolve_point_field(base: FieldSpec, m: int) -> FieldSpec:
+def resolve_point_field(base: FieldSpec, m: int) -> FieldSpec:
+    """The field of points with coordinates in GF(p^m) over ``base``.
+    Raises GuardExceededError when p^m exceeds ``current_limits().guard``
+    (checked first: finding the modulus of GF(p^m) is itself a search)."""
+    size, guard = base.p ** m, current_limits().guard
+    if size > guard:
+        raise GuardExceededError(f"point field of size {size} exceeds the "
+                                 f"guard {guard}")
     if base.e > 1:
         # extension base fields: points carry coordinates in the base field
         # itself, so only m = e is available
@@ -81,12 +97,10 @@ def enumerate_points(ctx: QuotientContext, m: int) -> list[RationalPoint]:
     guard = current_limits().guard
     base = ctx.ring.field
     n = ctx.ring.nvars
-    # the point field has p^m elements; compare before building it, since
-    # finding its modulus is itself a search
     if base.p ** (m * n) > guard:
         raise GuardExceededError(f"{base.p ** (m * n)} candidate points "
                                  f"exceed the guard {guard}")
-    spec = _resolve_point_field(base, m)
+    spec = resolve_point_field(base, m)
     gens = [g.comps[0] for g in ctx.ideal_gb.generators]
     out = []
     for coords in product(list(spec.elements()), repeat=n):
@@ -113,34 +127,14 @@ def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
     w -> w - A(alpha)^T w^[p] is F_p-linear, so its kernel is cut out by an
     F_p-linear system in the s*m prime-field coordinates of w."""
     spec = pt.spec
-    p, m, s = spec.p, spec.e, root.rank
+    s = root.rank
     a_at = _check_fiber(root, pt)
-    fb = spec.power_basis()
-    columns = []
-    for i in range(s):
-        for t in range(m):
-            bt = fb[t]
-            btp = bt ** p
-            col: list[int] = []
-            for j in range(s):
-                val = (bt if i == j else spec.zero()) - a_at[i][j] * btp
-                col.extend(val.coeffs)
-            columns.append(col)
-    nrows = s * m
-    system = [[columns[u][r] for u in range(len(columns))]
-              for r in range(nrows)]
-    basis = []
-    for sol in nullspace_mod_p(system, s * m, p):
-        w = []
-        for i in range(s):
-            acc = spec.zero()
-            for t in range(m):
-                y = sol[i * m + t]
-                if y:
-                    acc = acc + fb[t] * spec.from_int(y)
-            w.append(acc)
-        basis.append(tuple(w))
-    return SolutionSpace(len(basis), tuple(basis))
+    zero = spec.zero()
+    basis_p = [(b, b ** spec.p) for b in spec.power_basis()]
+    images = [[(bt if i == j else zero) - a_at[i][j] * btp for j in range(s)]
+              for i in range(s) for bt, btp in basis_p]
+    basis = tuple(tuple(w) for w in prime_field_kernel(images, spec))
+    return SolutionSpace(len(basis), basis)
 
 
 def brute_force_solutions(root: GammaSheaf, pt: RationalPoint) -> list[tuple]:

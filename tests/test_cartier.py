@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from frobkit import linalg
 from frobkit.cartier import (CartierModule, InfiniteDimensionalError,
                              SemilinearEndo, cartier_structure_violations,
                              hom_commuting, is_crystal_supported_on,
@@ -212,6 +214,42 @@ def test_hom_commuting_dimensions():
     unit = SemilinearEndo(1, ((gf4.one(),),), gf4)
     # c = c^(1/2) forces c in the prime field: dimension 1
     assert len(hom_commuting(unit, unit)) == 1
+
+
+def test_hom_commuting_over_gf4_is_the_commuting_set():
+    # seeded non-symmetric operators over GF(4): the F_2-span of the basis
+    # must be exactly the set of phi with phi U_M = U_N phi^(1/2), found by
+    # trying all 4^(dN*dM) matrices
+    gf4 = FieldSpec(2, 2, (1, 1, 1))
+    els = list(gf4.elements())
+    rng = random.Random(11)
+
+    def endo(d):
+        while True:
+            u = [[rng.choice(els) for _ in range(d)] for _ in range(d)]
+            if d == 1 or u[0][1] != u[1][0]:
+                return SemilinearEndo(d, tuple(map(tuple, u)), gf4)
+
+    def commutes(phi, m, n):
+        return (linalg.mat_mul(phi, m.rows())
+                == linalg.mat_mul(n.rows(), linalg.mat_frobenius_root(phi)))
+
+    for dm, dn in ((1, 2), (2, 1), (2, 2)):
+        for _ in range(4):
+            m, n = endo(dm), endo(dn)
+            basis = hom_commuting(m, n)
+            assert all(commutes([list(r) for r in phi], m, n)
+                       for phi in basis)
+            exhaustive = {
+                entries for entries in product(els, repeat=dn * dm)
+                if commutes([list(entries[r * dm:(r + 1) * dm])
+                             for r in range(dn)], m, n)}
+            span = {tuple(sum((phi[r][c] for phi, pick in zip(basis, picks)
+                               if pick), gf4.zero())
+                          for r in range(dn) for c in range(dm))
+                    for picks in product((0, 1), repeat=len(basis))}
+            assert 2 ** len(basis) == len(exhaustive)
+            assert span == exhaustive
 
 
 def test_nil_isomorphism():

@@ -8,6 +8,7 @@ import pytest
 from frobkit.session import (Session, SessionError, load_session_file,
                              run_session, serialize_gamma, serialize_module)
 from frobkit.cli import main
+from frobkit.verify import run_verify
 
 
 def base_session(**extra):
@@ -185,6 +186,20 @@ def test_point_object_guard_fires_before_the_field_is_built():
     assert time.perf_counter() - start < 1.0
 
 
+def test_point_over_extension_base_needs_the_base_degree():
+    # over GF(4) a point has coordinates in GF(4) itself, so m must be 2,
+    # for a point object as for the solutions op
+    gf4 = {"p": 2, "e": 2, "modulus": [1, 1, 1]}
+    with pytest.raises(SessionError, match=(
+            "object 'P': over an extension base field only points with "
+            "coordinates in the base field are supported")):
+        Session(base_session(field=gf4, objects={
+            "P": {"point": {"m": 5, "coords": [[1, 1]]}}}))
+    pt = Session(base_session(field=gf4, objects={
+        "P": {"point": {"m": 2, "coords": [[1, 1]]}}})).objects["P"]
+    assert pt.m == 2 and pt.spec.size == 4
+
+
 def test_fractional_rank_is_rejected():
     # int() would load either object as rank 1
     for kind, body in (("gamma", {"rank": 1.7, "matrix": [["1"]]}),
@@ -282,6 +297,12 @@ def test_verify_suite_op():
     reports = run_ok([{"op": "verify-suite", "quick": True, "seed": 3}])
     res = reports[0]["result"]
     assert res["failed"] == 0 and res["passed"] >= 4
+
+
+def test_full_verify_battery_passes():
+    results = run_verify(seed=0)
+    assert len(results) == 8
+    assert [r for r in results if not r["ok"]] == []
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ def test_enumerate_points():
     assert len(enumerate_points(QuotientContext.trivial(ring), 3)) == 8
 
 
+def test_point_field_is_built_once():
+    ring = RingContext(FieldSpec(2), ("x",))
+    first = enumerate_points(QuotientContext.trivial(ring), 3)
+    second = enumerate_points(QuotientContext.trivial(ring), 3)
+    assert first[0].spec is second[0].spec
+
+
 def test_enumerate_guard():
     ring = RingContext(FieldSpec(5), ("x", "y", "z"))
     with use_limits(Limits(guard=10 ** 4)), \
