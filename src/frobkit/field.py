@@ -102,15 +102,33 @@ def _conv_mul(a: tuple[int, ...], b: tuple[int, ...],
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Exhaustive factor search: no monic divisor of degree 1..e//2."""
+    """Rabin's test (Rabin 1980, "Probabilistic algorithms in finite
+    fields"), which is deterministic: a monic m of degree e over GF(p) is
+    irreducible exactly when gcd(x^(p^(e/q)) - x, m) = 1 for every prime q
+    dividing e and x^(p^e) = x mod m.  It takes O(e log p) products mod m;
+    each gcd is taken as soon as its power is known, so that most reducible
+    m are refused early."""
     e = len(modulus) - 1
-    for d in range(1, e // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            cand = list(tail) + [1]
-            _, rem = _polydiv(list(modulus), cand, p)
-            if not rem:
+    if e == 1:
+        return True
+    x = (0, 1) + (0,) * (e - 2)
+    checks = {e // q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)}
+    h = x  # x^(p^k) mod m
+    for k in range(1, e + 1):
+        power = h
+        for bit in bin(p)[3:]:
+            h = _conv_mul(h, h, modulus, p)
+            if bit == "1":
+                h = _conv_mul(h, power, modulus, p)
+        if k in checks:
+            # Euclid on (m, h - x); the gcd is 1 when it ends on a constant
+            a, b = list(modulus), list(h)
+            b[1] = (b[1] - 1) % p
+            while any(b):
+                a, b = b, _polydiv(a, b, p)[1]
+            if any(a[1:]):
                 return False
-    return True
+    return h == x
 
 
 @dataclass(frozen=True)
@@ -207,14 +225,6 @@ class FieldSpec:
     def elements(self) -> Iterator["FieldElement"]:
         for coeffs in product(range(self.p), repeat=self.e):
             yield FieldElement(self, coeffs)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldSpec":
-        return cls(int(data["p"]), int(data.get("e", 1)),
-                   tuple(data.get("modulus", ())))
 
 
 def _mixed_fields(a: FieldSpec, b: FieldSpec) -> FieldError:

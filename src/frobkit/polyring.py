@@ -113,9 +113,6 @@ class RingContext:
             return m
         return (sum(m), tuple(-x for x in reversed(m)))
 
-    def to_json(self) -> dict:
-        return {"vars": list(self.vars), "order": self.order}
-
 
 class Polynomial:
     """Immutable sparse polynomial: a finite map exponent-tuple -> coefficient.

@@ -1,11 +1,14 @@
 """Session files: a JSON description of a field, a ring, an ideal, named
 objects (Cartier modules, gamma-sheaves, immersions, points) and a list of
 commands.  Commands run in order; a command may store its result under a name
-for later commands.  Output is one JSON record per command."""
+for later commands.  Output is one JSON record per command.  ``SCHEMA``
+declares every key a session may hold, and ``_bind`` checks each body
+against it before any object is built or any handler runs."""
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from .cartier import (CartierModule, cartier_structure_violations,
                       is_crystal_supported_on, is_nilpotent)
@@ -28,36 +31,120 @@ class SessionError(ValueError):
     """Schema violation or unresolvable reference in a session file."""
 
 
-class CommandError(RuntimeError):
-    """A command failed during execution."""
+@dataclass(frozen=True)
+class Kind:
+    """What a session value may be: ``test`` accepts it, and ``message``
+    (formatted with the key and the value) says why it was refused."""
+
+    test: Callable[[Any], bool]
+    message: str
 
 
-def _texts(value, what: str) -> list:
-    """A list of strings from the session file; a bare string is refused,
-    not split into characters."""
-    if not isinstance(value, list) or not all(isinstance(t, str)
-                                              for t in value):
-        raise SessionError(f"{what} must be a list of strings, not {value!r}")
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_lists(value, what: str) -> list:
-    """A list of lists of integers from the session file, such as a point's
-    coordinates; a string or a float is refused, not read digit by digit."""
-    if not isinstance(value, list) or not all(
-            isinstance(row, list) and all(isinstance(c, int)
-                                          and not isinstance(c, bool)
-                                          for c in row)
-            for row in value):
-        raise SessionError(f"{what} must be a list of lists of integers, "
-                           f"not {value!r}")
-    return value
+def _list_of(test, noun: str) -> Kind:
+    """A list of items that pass ``test``; a bare string or a float is
+    refused, not split into characters or truncated."""
+    return Kind(lambda v: isinstance(v, list) and all(test(x) for x in v),
+                f"{{key}} must be a list of {noun}, not {{value!r}}")
 
 
-def _mapping(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SessionError(f"{what} must be a JSON object, not {value!r}")
-    return value
+POSITIVE = Kind(lambda v: _is_int(v) and v >= 1, "argument {key!r} must be "
+                "a positive integer, not {value!r}")
+NATURAL = Kind(lambda v: _is_int(v) and v >= 0, "argument {key!r} must be "
+               "a non-negative integer, not {value!r}")
+FLAG = Kind(lambda v: isinstance(v, bool), "argument {key!r} must be true or "
+            "false, not {value!r}")
+NAME = Kind(lambda v: isinstance(v, str), "argument {key!r} must be a "
+            "string, not {value!r}")
+MAPPING = Kind(lambda v: isinstance(v, dict), "{key} must be a JSON object, "
+               "not {value!r}")
+TABLE = Kind(lambda v: isinstance(v, dict) and all(
+    isinstance(k, str) and isinstance(t, str) for k, t in v.items()),
+    "{key} must be a JSON object of strings, not {value!r}")
+TEXTS = _list_of(NAME.test, "strings")
+TEXT_ROWS = _list_of(TEXTS.test, "lists of strings")
+INTS = _list_of(_is_int, "integers")
+INT_ROWS = _list_of(INTS.test, "lists of integers")
+COMMANDS = _list_of(lambda c: isinstance(c, dict) and NAME.test(c.get("op")),
+                    'JSON objects with a string "op"')
+REQUIRED = object()
+
+# Every key a session may hold: key -> (kind, default or REQUIRED).  A kind
+# that is a tuple of classes names an object of one of them.  The entries are
+# the top level, "field", "ring", the four object kinds and the ops; every
+# command also holds its "op".  Keys are checked in the order given here.
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "session": {"field": (MAPPING, REQUIRED), "ring": (MAPPING, REQUIRED),
+                "ideal": (TEXTS, ()), "objects": (MAPPING, {}),
+                "commands": (COMMANDS, ())},
+    "field": {"p": (POSITIVE, REQUIRED), "e": (POSITIVE, 1),
+              "modulus": (INTS, ())},
+    "ring": {"vars": (TEXTS, REQUIRED), "order": (NAME, "grevlex")},
+    "module": {"rank": (POSITIVE, REQUIRED), "relations": (TEXTS, ()),
+               "kappa": (TABLE, {})},
+    "gamma": {"rank": (POSITIVE, REQUIRED), "relations": (TEXTS, ()),
+              "matrix": (TEXT_ROWS, REQUIRED)},
+    "immersion": {"sequence": (TEXTS, REQUIRED)},
+    "point": {"m": (POSITIVE, REQUIRED), "coords": (INT_ROWS, REQUIRED)},
+    "gb": {"polys": (TEXTS, None)},
+    "validate": {"target": ((CartierModule, GammaSheaf), REQUIRED)},
+    "nilpotent": {"target": ((CartierModule, GammaSheaf), REQUIRED),
+                  "bound": (POSITIVE, 16)},
+    "crystal-zero": {"target": ((CartierModule,), REQUIRED)},
+    "supported-on": {"target": ((CartierModule,), REQUIRED),
+                     "ideal": (TEXTS, ())},
+    "twist-to-cartier": {"target": ((GammaSheaf,), REQUIRED),
+                         "sequence": (TEXTS, ()), "store": (NAME, None)},
+    "twist-to-gamma": {"target": ((CartierModule,), REQUIRED),
+                       "store": (NAME, None)},
+    "pullback": {"target": ((CartierModule, GammaSheaf), REQUIRED),
+                 "immersion": ((ClosedImmersion,), REQUIRED),
+                 "store": (NAME, None)},
+    "dualizing": {"immersion": ((ClosedImmersion,), REQUIRED),
+                  "store": (NAME, None)},
+    "transition": {"f": (TEXTS, REQUIRED), "g": (TEXTS, REQUIRED)},
+    "check-2-14": {"target": ((GammaSheaf,), REQUIRED),
+                   "immersion": ((ClosedImmersion,), REQUIRED)},
+    "gen-dim": {"target": ((GammaSheaf,), REQUIRED)},
+    "solutions": {"target": ((GammaSheaf,), REQUIRED),
+                  "point": ((RationalPoint,), None), "m": (POSITIVE, 1)},
+    "as-kernel": {"q": (POSITIVE, REQUIRED)},
+    "verify-suite": {"quick": (FLAG, False), "seed": (NATURAL, 0)},
+}
+
+
+def _bind(schema: dict, body, what: str,
+          objects: Optional[dict] = None) -> dict:
+    """The keyword arguments ``body`` holds under ``schema``: every key
+    checked against its kind, every absent key given its default and every
+    object name resolved in ``objects``.  An undeclared key, an absent
+    required key or a value of the wrong kind raises SessionError."""
+    if not isinstance(body, dict):
+        raise SessionError(f"{what} must be a JSON object, not {body!r}")
+    for key in body:
+        if key not in schema:
+            raise SessionError(f"undeclared key {key!r} in {what}")
+    args = {}
+    for key, (kind, default) in schema.items():
+        if key not in body and default is not REQUIRED:
+            args[key] = default
+            continue
+        value = body.get(key)
+        check = NAME if isinstance(kind, tuple) else kind
+        if not check.test(value):
+            raise SessionError(check.message.format(key=key, value=value))
+        if isinstance(kind, tuple):
+            if value not in objects:
+                raise SessionError(f"unknown object {value!r}")
+            if not isinstance(objects[value], kind):
+                raise SessionError(f"object {value!r} has the wrong kind for "
+                                   f"{what}")
+            value = objects[value]
+        args[key] = value
+    return args
 
 
 def _parse_kappa_key(key: str, rank: int, nvars: int, p: int) -> tuple:
@@ -101,70 +188,49 @@ class Session:
     failure to load one raises SessionError."""
 
     def __init__(self, data: dict):
+        top = _bind(SCHEMA["session"], data, "session")
         try:
-            self.field = FieldSpec.from_json(data["field"])
-            ring_spec = data["ring"]
-            self.ring = RingContext(self.field,
-                                    tuple(_texts(ring_spec["vars"], "vars")),
-                                    ring_spec.get("order", "grevlex"))
-        except (KeyError, TypeError, ValueError) as exc:
+            self.field = FieldSpec(**_bind(SCHEMA["field"], top["field"],
+                                           "field"))
+            self.ring = RingContext(self.field, **_bind(SCHEMA["ring"],
+                                                        top["ring"], "ring"))
+        except ValueError as exc:
             raise SessionError(f"bad field/ring specification: {exc}") from exc
         try:
-            self.ideal_gens = [parse_polynomial(self.ring, t)
-                               for t in _texts(data.get("ideal", []), "ideal")]
+            self.ideal_gens = self._polys(top["ideal"])
         except ParseError as exc:
             raise SessionError(f"ideal: {exc}") from exc
-        objects = _mapping(data.get("objects", {}), "objects")
         self.objects: dict[str, Any] = {}
         try:
             self.ctx = QuotientContext.from_generators(self.ring,
                                                        self.ideal_gens)
-            for name, spec in objects.items():
+            for name, spec in top["objects"].items():
                 self.objects[name] = self._build_object(name, spec)
         except BudgetExceededError as exc:
             raise SessionError(f"limit spent while loading: {exc}") from exc
-        commands = data.get("commands", [])
-        if not isinstance(commands, list):
-            raise SessionError(f"commands must be a list, not {commands!r}")
-        self.commands = list(commands)
-        for cmd in self.commands:
-            if not isinstance(cmd, dict) or "op" not in cmd:
-                raise SessionError("each command needs an \"op\" field")
+        self.commands = top["commands"]
+
+    def _polys(self, texts: list) -> list:
+        return [parse_polynomial(self.ring, t) for t in texts]
 
     # -- object construction -------------------------------------------------
     def _build_object(self, name: str, spec: dict):
         if not isinstance(spec, dict) or len(spec) != 1:
             raise SessionError(f"object {name!r} must have exactly one kind")
-        kind, body = next(iter(spec.items()))
-        _mapping(body, f"object {name!r}: {kind}")
+        (kind, body), = spec.items()
+        build = _BUILDERS.get(kind)
+        if build is None:
+            raise SessionError(f"object {name!r}: unknown kind {kind!r}")
         try:
-            if kind == "module":
-                return self._build_module(body)
-            if kind == "gamma":
-                return self._build_gamma(body)
-            if kind == "immersion":
-                seq = [parse_polynomial(self.ring, t)
-                       for t in _texts(body["sequence"], "sequence")]
-                return ClosedImmersion.create(self.ring, seq)
-            if kind == "point":
-                m = _int_arg(body, "m")
-                spec_f = resolve_point_field(self.field, m)
-                coords = tuple(spec_f.element(c) for c in
-                               _int_lists(body["coords"], "coords"))
-                if len(coords) != self.ring.nvars:
-                    raise SessionError("point coordinate count mismatch")
-                return RationalPoint(m, spec_f, coords)
-        except (ValueError, KeyError, TypeError,
-                GuardExceededError) as exc:
+            return build(self, **_bind(SCHEMA[kind], body, kind))
+        except (ValueError, GuardExceededError) as exc:
             raise SessionError(f"object {name!r}: {exc}") from exc
-        raise SessionError(f"object {name!r}: unknown kind {kind!r}")
 
-    def _build_module(self, body: dict) -> CartierModule:
-        rank = _int_arg(body, "rank")
-        rels = [parse_vector(self.ring, rank, t)
-                for t in _texts(body.get("relations", []), "relations")]
+    def _build_module(self, rank: int, relations: list,
+                      kappa: dict) -> CartierModule:
+        rels = [parse_vector(self.ring, rank, t) for t in relations]
         table = {}
-        for key, text in _mapping(body.get("kappa", {}), "kappa").items():
+        for key, text in kappa.items():
             j, a = _parse_kappa_key(key, rank, self.ring.nvars, self.field.p)
             table[(j, a)] = parse_vector(self.ring, rank, text)
         m = CartierModule.create(self.ctx, rank, rels, table)
@@ -173,148 +239,92 @@ class Session:
                                "relations")
         return m
 
-    def _build_gamma(self, body: dict) -> GammaSheaf:
-        rank = _int_arg(body, "rank")
-        rels = [parse_vector(self.ring, rank, t)
-                for t in _texts(body.get("relations", []), "relations")]
-        matrix = [[parse_polynomial(self.ring, e)
-                   for e in _texts(row, "matrix row")]
-                  for row in body["matrix"]]
-        n = GammaSheaf.create(self.ctx, rank, matrix, rels)
+    def _build_gamma(self, rank: int, relations: list,
+                     matrix: list) -> GammaSheaf:
+        rels = [parse_vector(self.ring, rank, t) for t in relations]
+        n = GammaSheaf.create(self.ctx, rank, [self._polys(row)
+                                               for row in matrix], rels)
         if gamma_structure_violations(n):
             raise SessionError("gamma matrix is inconsistent with the "
                                "relations")
         return n
 
+    def _build_point(self, m: int, coords: list) -> RationalPoint:
+        spec = resolve_point_field(self.field, m)
+        if len(coords) != self.ring.nvars:
+            raise SessionError("point coordinate count mismatch")
+        return RationalPoint(m, spec, tuple(spec.element(c) for c in coords))
+
     # -- command execution ----------------------------------------------------
-    def _get(self, cmd: dict, key: str, kinds: tuple):
-        name = cmd.get(key)
-        if name is None:
-            raise CommandError(f"missing argument {key!r}")
-        obj = self.objects.get(name)
-        if obj is None:
-            raise CommandError(f"unknown object {name!r}")
-        if not isinstance(obj, kinds):
-            raise CommandError(f"object {name!r} has the wrong kind for "
-                               f"{cmd['op']}")
-        return obj
-
-    def _store(self, cmd: dict, obj) -> None:
-        name = cmd.get("store")
-        if name:
-            self.objects[name] = obj
-
     def run_command(self, cmd: dict) -> dict:
+        """Run one command: its arguments bound under the op's schema, its
+        handler called with them.  A handler that returns a module or a
+        gamma-sheaf stores it under the command's "store" name, if any."""
         op = cmd["op"]
         handler = _HANDLERS.get(op)
         if handler is None:
-            raise CommandError(f"unknown op {op!r}")
-        return handler(self, cmd)
+            raise SessionError(f"unknown op {op!r}")
+        args = _bind(SCHEMA[op], {k: v for k, v in cmd.items() if k != "op"},
+                     op, self.objects)
+        store = args.pop("store", None)
+        out = handler(self, **args)
+        if isinstance(out, dict):
+            return out
+        if store is not None:
+            self.objects[store] = out
+        return ({"module": serialize_module(out)}
+                if isinstance(out, CartierModule)
+                else {"gamma": serialize_gamma(out)})
+
+
+_BUILDERS = {
+    "module": Session._build_module,
+    "gamma": Session._build_gamma,
+    "immersion": lambda s, sequence: ClosedImmersion.create(
+        s.ring, s._polys(sequence)),
+    "point": Session._build_point,
+}
 
 
 # -- handlers -----------------------------------------------------------------
 
-def _h_gb(s: Session, cmd: dict) -> dict:
-    texts = cmd.get("polys")
-    polys = (s.ideal_gens if texts is None
-             else [parse_polynomial(s.ring, t)
-                   for t in _texts(texts, "polys")])
-    gb = buchberger(polys, s.ring)
+def _h_gb(s: Session, polys) -> dict:
+    gb = buchberger(s.ideal_gens if polys is None else s._polys(polys), s.ring)
     return {"basis": [format_polynomial(g) for g in gb.polys]}
 
 
-def _h_validate(s: Session, cmd: dict) -> dict:
-    obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
-    if isinstance(obj, CartierModule):
-        bad = cartier_structure_violations(obj)
+def _h_validate(s: Session, target) -> dict:
+    if isinstance(target, CartierModule):
+        bad = cartier_structure_violations(target)
         return {"valid": not bad,
                 "violations": [{"relation": g, "residue": list(a)}
                                for g, a in bad]}
-    bad = gamma_structure_violations(obj)
+    bad = gamma_structure_violations(target)
     return {"valid": not bad, "violations": [{"relation": g} for g in bad]}
 
 
-def _int_arg(cmd: dict, key: str, default=None, least: int = 1) -> int:
-    value = cmd.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        kind = "positive" if least == 1 else "non-negative"
-        raise SessionError(f"argument {key!r} must be a {kind} integer, "
-                           f"not {value!r}")
-    return value
+def _h_nilpotent(s: Session, target, bound: int) -> dict:
+    if isinstance(target, CartierModule):
+        return is_nilpotent(target).to_json()
+    return gamma_is_nilpotent(target, bound).to_json()
 
 
-def _h_nilpotent(s: Session, cmd: dict) -> dict:
-    obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
-    if isinstance(obj, CartierModule):
-        v = is_nilpotent(obj)
-    else:
-        v = gamma_is_nilpotent(obj, _int_arg(cmd, "bound", 16))
-    return v.to_json()
+def _h_pullback(s: Session, target, immersion: ClosedImmersion):
+    if isinstance(target, CartierModule):
+        return cartier_pullback(target, immersion)
+    return gamma_pullback(target, immersion)
 
 
-def _h_crystal_zero(s: Session, cmd: dict) -> dict:
-    # a coherent Cartier module is zero as a crystal exactly when it is
-    # nilpotent
-    m = s._get(cmd, "target", (CartierModule,))
-    return is_nilpotent(m).to_json()
-
-
-def _h_supported_on(s: Session, cmd: dict) -> dict:
-    m = s._get(cmd, "target", (CartierModule,))
-    gens = [parse_polynomial(s.ring, t)
-            for t in _texts(cmd.get("ideal", []), "ideal")]
-    ok = is_crystal_supported_on(m, gens)
-    return {"supported": ok}
-
-
-def _h_twist_to_cartier(s: Session, cmd: dict) -> dict:
-    n = s._get(cmd, "target", (GammaSheaf,))
-    seq = [parse_polynomial(s.ring, t)
-           for t in _texts(cmd.get("sequence", []), "sequence")]
-    m = twist_to_cartier(n, seq)
-    s._store(cmd, m)
-    return {"module": serialize_module(m)}
-
-
-def _h_twist_to_gamma(s: Session, cmd: dict) -> dict:
-    m = s._get(cmd, "target", (CartierModule,))
-    n = twist_to_gamma(m)
-    s._store(cmd, n)
-    return {"gamma": serialize_gamma(n)}
-
-
-def _h_pullback(s: Session, cmd: dict) -> dict:
-    obj = s._get(cmd, "target", (CartierModule, GammaSheaf))
-    im = s._get(cmd, "immersion", (ClosedImmersion,))
-    if isinstance(obj, CartierModule):
-        out = cartier_pullback(obj, im)
-        s._store(cmd, out)
-        return {"module": serialize_module(out)}
-    out = gamma_pullback(obj, im)
-    s._store(cmd, out)
-    return {"gamma": serialize_gamma(out)}
-
-
-def _h_dualizing(s: Session, cmd: dict) -> dict:
-    im = s._get(cmd, "immersion", (ClosedImmersion,))
-    m = dualizing_module(im)
-    s._store(cmd, m)
-    return {"module": serialize_module(m)}
-
-
-def _h_transition(s: Session, cmd: dict) -> dict:
-    f = [parse_polynomial(s.ring, t) for t in _texts(cmd["f"], "f")]
-    g = [parse_polynomial(s.ring, t) for t in _texts(cmd["g"], "g")]
-    tr = transition_factor(f, g, s.ring)
+def _h_transition(s: Session, f: list, g: list) -> dict:
+    tr = transition_factor(s._polys(f), s._polys(g), s.ring)
     return {"det": format_polynomial(tr.det),
             "matrix": [[format_polynomial(e) for e in row]
                        for row in tr.matrix]}
 
 
-def _h_check_2_14(s: Session, cmd: dict) -> dict:
-    n = s._get(cmd, "target", (GammaSheaf,))
-    im = s._get(cmd, "immersion", (ClosedImmersion,))
-    cert = check_pullback_twist_commutes(n, im)
+def _h_check_2_14(s: Session, target: GammaSheaf,
+                  immersion: ClosedImmersion) -> dict:
+    cert = check_pullback_twist_commutes(target, immersion)
     return {"equal": cert.equal,
             "discrepancies": [{"position": j, "residue": list(a),
                                "first": format_vector(va),
@@ -322,38 +332,21 @@ def _h_check_2_14(s: Session, cmd: dict) -> dict:
                               for j, a, va, vb in cert.discrepancies]}
 
 
-def _h_gen_dim(s: Session, cmd: dict) -> dict:
-    n = s._get(cmd, "target", (GammaSheaf,))
-    return {"dim": gen_stable_dimension(n)}
-
-
-def _h_solutions(s: Session, cmd: dict) -> dict:
-    n = s._get(cmd, "target", (GammaSheaf,))
-    if "point" in cmd:
-        pts = [s._get(cmd, "point", (RationalPoint,))]
-    else:
-        pts = enumerate_points(s.ctx, _int_arg(cmd, "m", 1))
+def _h_solutions(s: Session, target: GammaSheaf,
+                 point: Optional[RationalPoint], m: int) -> dict:
+    pts = [point] if point is not None else enumerate_points(s.ctx, m)
     rows = []
     for pt in pts:
-        space = solutions_at_point(n, pt)
+        space = solutions_at_point(target, pt)
         rows.append({"point": pt.to_json()["coords"], "m": pt.m,
                      "dim": space.dimension,
                      "basis": space.to_json()["basis"]})
     return {"solutions": rows}
 
 
-def _h_as_kernel(s: Session, cmd: dict) -> dict:
-    q = _int_arg(cmd, "q")
-    return {"q": q, "dim": artin_schreier_kernel(q)}
-
-
-def _h_verify_suite(s: Session, cmd: dict) -> dict:
+def _h_verify_suite(s: Session, quick: bool, seed: int) -> dict:
     from .verify import run_verify
-    quick = cmd.get("quick", False)
-    if not isinstance(quick, bool):
-        raise SessionError(f"argument 'quick' must be true or false, "
-                           f"not {quick!r}")
-    results = run_verify(seed=_int_arg(cmd, "seed", 0, least=0), quick=quick)
+    results = run_verify(seed=seed, quick=quick)
     return {"checks": results,
             "passed": sum(1 for r in results if r["ok"]),
             "failed": sum(1 for r in results if not r["ok"])}
@@ -363,17 +356,21 @@ _HANDLERS = {
     "gb": _h_gb,
     "validate": _h_validate,
     "nilpotent": _h_nilpotent,
-    "crystal-zero": _h_crystal_zero,
-    "supported-on": _h_supported_on,
-    "twist-to-cartier": _h_twist_to_cartier,
-    "twist-to-gamma": _h_twist_to_gamma,
+    # a coherent Cartier module is zero as a crystal exactly when it is
+    # nilpotent
+    "crystal-zero": lambda s, target: is_nilpotent(target).to_json(),
+    "supported-on": lambda s, target, ideal: {
+        "supported": is_crystal_supported_on(target, s._polys(ideal))},
+    "twist-to-cartier": lambda s, target, sequence: twist_to_cartier(
+        target, s._polys(sequence)),
+    "twist-to-gamma": lambda s, target: twist_to_gamma(target),
     "pullback": _h_pullback,
-    "dualizing": _h_dualizing,
+    "dualizing": lambda s, immersion: dualizing_module(immersion),
     "transition": _h_transition,
     "check-2-14": _h_check_2_14,
-    "gen-dim": _h_gen_dim,
+    "gen-dim": lambda s, target: {"dim": gen_stable_dimension(target)},
     "solutions": _h_solutions,
-    "as-kernel": _h_as_kernel,
+    "as-kernel": lambda s, q: {"q": q, "dim": artin_schreier_kernel(q)},
     "verify-suite": _h_verify_suite,
 }
 

@@ -1,10 +1,12 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
-from frobkit.field import (PRIME_BOUND, FieldError, FieldSpec, _is_prime,
-                           frobenius, frobenius_root)
+from frobkit.field import (PRIME_BOUND, FieldError, FieldSpec,
+                           _is_irreducible, _is_prime, _polydiv, frobenius,
+                           frobenius_root)
 
 GF4 = FieldSpec(2, 2, (1, 1, 1))          # x^2 + x + 1
 GF8 = FieldSpec(2, 3, (1, 1, 0, 1))       # x^3 + x + 1
@@ -79,11 +81,6 @@ def test_pow_and_order():
     assert g ** -1 == g.inverse()
 
 
-def test_json_round_trip():
-    for spec in (FieldSpec(2), GF9):
-        assert FieldSpec.from_json(spec.to_json()) == spec
-
-
 def test_element_str():
     assert str(FieldSpec(5).from_int(3)) == "3"
     g = GF4.generator()
@@ -152,3 +149,38 @@ def test_primes_past_the_exact_bound_are_refused():
     for n in (PRIME_BOUND, 2 ** 89 - 1):
         with pytest.raises(FieldError, match="too large"):
             FieldSpec(n)
+
+
+def _exhaustive_irreducible(modulus: tuple, p: int) -> bool:
+    """The oracle: no monic divisor of degree 1..e//2."""
+    e = len(modulus) - 1
+    for d in range(1, e // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            if not _polydiv(list(modulus), list(tail) + [1], p)[1]:
+                return False
+    return True
+
+
+# up to degree 4, Rabin's gcd conditions alone decide; a reducible quintic
+# or sextic over GF(2) can pass them and fail only x^(p^e) = x
+@pytest.mark.parametrize("p,degrees", [(2, (2, 3, 4, 5, 6)), (3, (2, 3, 4)),
+                                       (5, (2, 3))])
+def test_rabin_agrees_with_exhaustive_search(p, degrees):
+    for e in degrees:
+        verdicts = [_is_irreducible(tail + (1,), p)
+                    for tail in product(range(p), repeat=e)]
+        assert verdicts == [_exhaustive_irreducible(tail + (1,), p)
+                            for tail in product(range(p), repeat=e)]
+        assert any(verdicts) and not all(verdicts)
+
+
+def test_irreducibility_over_a_large_prime_is_decided_at_once():
+    # the exhaustive search would try about 10007^2 divisors for each
+    start = time.perf_counter()
+    spec = FieldSpec(10007, 4, (6311, 6890, 663, 4242, 1))
+    # (x^2 + 1)(x^2 + 2): -1 and -2 are non-residues mod 10007, so it has
+    # no root and only quadratic factors
+    with pytest.raises(FieldError, match="reducible"):
+        FieldSpec(10007, 4, (2, 0, 3, 0, 1))
+    assert time.perf_counter() - start < 1.0
+    assert spec.generator() ** (spec.size - 1) == spec.one()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobkit.field import FieldSpec
 from frobkit.polyring import (FreeVector, ParseError, Polynomial,
@@ -110,6 +112,49 @@ def test_reduced_gb_is_canonical(ring3):
         rng.shuffle(shuffled)
         gb2 = buchberger(shuffled, ring3)
         assert gb1.generators == gb2.generators
+
+
+@st.composite
+def generator_sets(draw):
+    """A ring GF(p)[x,y] in either order, 2-3 generators of 2-4 terms of
+    degree at most 3 in each variable, and one multiplier of degree at most
+    1 for each generator."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ctx = RingContext(FieldSpec(p), ("x", "y"),
+                      draw(st.sampled_from(["grevlex", "lex"])))
+
+    def polys(degree, count):
+        terms = st.lists(st.tuples(
+            st.tuples(st.integers(0, degree), st.integers(0, degree)),
+            st.integers(1, p - 1)), min_size=2, max_size=4)
+        return [sum((Polynomial.monomial(ctx, m, c) for m, c in t),
+                    Polynomial.zero(ctx))
+                for t in draw(st.lists(terms, min_size=count[0],
+                                       max_size=count[1]))]
+
+    gens = [g for g in polys(3, (2, 3)) if g] or [Polynomial.one(ctx)]
+    return ctx, gens, polys(1, (len(gens), len(gens)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(generator_sets(), st.data())
+def test_reduced_basis_is_canonical(case, data):
+    ctx, gens, multipliers = case
+    p = ctx.field.p
+
+    def reduced(polys):
+        return [format_polynomial(g) for g in buchberger(polys, ctx).polys]
+
+    expected = reduced(gens)
+    order = data.draw(st.permutations(range(len(gens))))
+    assert reduced([gens[i] for i in order]) == expected
+    scalars = data.draw(st.lists(st.integers(1, p - 1), min_size=len(gens),
+                                 max_size=len(gens)))
+    assert reduced([g.scale(c)
+                    for g, c in zip(gens, scalars)]) == expected
+    member = sum((m * g for m, g in zip(multipliers, gens)),
+                 Polynomial.zero(ctx))
+    assert reduced(gens + [member]) == expected
 
 
 def test_normal_form_is_idempotent(ring2):

@@ -135,8 +135,10 @@ def test_bad_bound_is_a_structured_error():
         assert reports[0]["error"] == ("argument 'bound' must be a positive "
                                        "integer, not 'abc'")
         assert reports[3]["error"].endswith("not True")
-    # a Cartier target does not read the bound
-    run_ok([{"op": "nilpotent", "target": "Z", "bound": "abc"}])
+    # a Cartier target does not read the bound, but it is checked all the same
+    reports = run_session(base_session(commands=[
+        {"op": "nilpotent", "target": "Z", "bound": "abc"}]))
+    assert reports[0]["status"] == "error"
 
 
 def test_bad_q_is_a_structured_error():
@@ -419,3 +421,75 @@ def test_load_session_file_errors(tmp_path):
         p = tmp_path / "arr.json"
         p.write_text("[1, 2]")
         load_session_file(str(p))
+
+
+# ---------------------------------------------------------------------------
+# keys and values outside the session schema
+
+def test_non_string_kappa_value_is_rejected(tmp_path, capsys):
+    # it used to escape as an AttributeError: a traceback and exit code 1
+    data = base_session(objects={
+        "M": {"module": {"rank": 1, "kappa": {"0,0": 5}}}})
+    assert rejected(tmp_path, capsys, data) == (
+        "object 'M': kappa must be a JSON object of strings, "
+        "not {'0,0': 5}")
+
+
+@pytest.mark.parametrize("field,message", [
+    ({"p": 7.9}, "argument 'p' must be a positive integer, not 7.9"),
+    ({"p": 2, "e": 2.5, "modulus": [1, 1, 1]},
+     "argument 'e' must be a positive integer, not 2.5"),
+    ({"p": 2, "e": 2, "modulus": [1.5, 1, 1]},
+     "modulus must be a list of integers, not [1.5, 1, 1]"),
+], ids=["p", "e", "modulus"])
+def test_fractional_field_values_are_rejected(tmp_path, capsys, field,
+                                              message):
+    # int() loaded GF(7) for p = 7.9 and GF(4) for e = 2.5
+    assert rejected(tmp_path, capsys, base_session(field=field)) == (
+        f"bad field/ring specification: {message}")
+
+
+def test_undeclared_keys_are_refused(tmp_path, capsys):
+    # a misspelt "commands" ran nothing with exit code 0
+    data = base_session()
+    data["comands"] = [{"op": "gb"}]
+    assert rejected(tmp_path, capsys, data) == (
+        "undeclared key 'comands' in session")
+    # a misspelt "bound" was ignored
+    reports = run_session(base_session(commands=[
+        {"op": "nilpotent", "target": "N1", "bnd": 3}]))
+    assert reports[0]["error"] == "undeclared key 'bnd' in nilpotent"
+
+
+def test_names_must_be_strings(tmp_path, capsys):
+    # a list-valued op or target ended in "unhashable type: 'list'"
+    msg = rejected(tmp_path, capsys, base_session(commands=[{"op": ["gb"]}]))
+    assert msg.startswith("commands must be a list of JSON objects with a "
+                          "string \"op\"")
+    reports = run_session(base_session(commands=[
+        {"op": "nilpotent", "target": ["N1"]}]))
+    assert reports[0]["error"] == ("argument 'target' must be a string, "
+                                   "not ['N1']")
+    # the result was stored under the integer 7
+    s = Session(base_session())
+    with pytest.raises(SessionError, match="argument 'store' must be a "
+                                           "string, not 7"):
+        s.run_command({"op": "twist-to-cartier", "target": "N1", "store": 7})
+    assert 7 not in s.objects
+
+
+def test_missing_argument_is_named():
+    # the message used to be the bare "'f'"
+    reports = run_session(base_session(commands=[
+        {"op": "transition", "g": ["x"]}]))
+    assert reports[0]["error"] == "f must be a list of strings, not None"
+
+
+def test_session_over_a_large_extension_field_loads_at_once():
+    # the exhaustive irreducibility search would not end
+    start = time.perf_counter()
+    reports = run_session(base_session(
+        field={"p": 10007, "e": 4, "modulus": [6311, 6890, 663, 4242, 1]},
+        commands=[{"op": "gb", "polys": ["x^2 + x"]}]))
+    assert time.perf_counter() - start < 1.0
+    assert reports[0]["status"] == "ok"
