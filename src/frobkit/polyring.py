@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
+from operator import add, le, neg, sub
 from typing import Iterable, Optional
 
 from .field import FieldElement, FieldSpec
@@ -67,23 +68,31 @@ class ParseError(ValueError):
 # monomial helpers
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def _lex_descending(m: Monomial) -> tuple:
+    return tuple(map(neg, m))
+
+
+def _grevlex_descending(m: Monomial) -> tuple:
+    return (-sum(m),) + m[::-1]
 
 
 @dataclass(frozen=True)
@@ -113,16 +122,25 @@ class RingContext:
             return m
         return (sum(m), tuple(-x for x in reversed(m)))
 
+    @property
+    def descending_key(self):
+        """The heap key of the order, as a function of a monomial: a smaller
+        key means a larger monomial (the reverse of monomial_key), so a
+        min-heap of keys pops terms from the leading one down."""
+        return _lex_descending if self.order == "lex" else _grevlex_descending
+
 
 class Polynomial:
     """Immutable sparse polynomial: a finite map exponent-tuple -> coefficient.
-    Zero coefficients are never stored."""
+    Zero coefficients are never stored, and ``terms`` is never changed after
+    construction, so the leading term is computed once."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_lead")
 
     def __init__(self, ctx: RingContext, terms: Optional[dict] = None, *,
                  _clean: bool = True):
         self.ctx = ctx
+        self._lead = None
         if terms is None:
             self.terms = {}
         elif _clean:
@@ -175,13 +193,15 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def leading(self) -> tuple[Monomial, FieldElement]:
-        key = self.ctx.monomial_key
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
+        lead = self._lead
+        if lead is None:
+            m = max(self.terms, key=self.ctx.monomial_key)
+            lead = self._lead = (m, self.terms[m])
+        return lead
 
     def sorted_terms(self) -> list[tuple[Monomial, FieldElement]]:
-        key = self.ctx.monomial_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        key = self.ctx.descending_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -300,11 +320,12 @@ class Polynomial:
 class FreeVector:
     """An element of the free module P^s; components are Polynomials."""
 
-    __slots__ = ("ctx", "comps")
+    __slots__ = ("ctx", "comps", "_lead")
 
     def __init__(self, ctx: RingContext, comps: Iterable[Polynomial]):
         self.ctx = ctx
         self.comps = tuple(comps)
+        self._lead = None
 
     @classmethod
     def zero(cls, ctx: RingContext, rank: int) -> "FreeVector":
@@ -354,11 +375,14 @@ class FreeVector:
 
     def leading(self) -> tuple[int, Monomial, FieldElement]:
         """Position-over-term leading term: smallest nonzero position wins."""
-        for j, comp in enumerate(self.comps):
-            if comp:
-                m, c = comp.leading()
-                return j, m, c
-        raise ValueError("zero vector has no leading term")
+        if self._lead is None:
+            for j, comp in enumerate(self.comps):
+                if comp:
+                    self._lead = (j,) + comp.leading()
+                    break
+            else:
+                raise ValueError("zero vector has no leading term")
+        return self._lead
 
     def monic(self) -> "FreeVector":
         if self.is_zero():
@@ -406,45 +430,56 @@ def _as_vector(f) -> FreeVector:
 
 def _reduce_vector(v: FreeVector, gens: list[FreeVector]) -> FreeVector:
     """Full multivariate division: returns the remainder of ``v`` against
-    ``gens``.  Generators must be monic."""
+    ``gens``.  Generators must be monic.
+
+    Each position keeps its pending terms in a dict and their descending keys
+    in a heap, so the largest pending term is a heap pop; a key is computed
+    once, when its monomial enters the dict, and a heap entry whose monomial
+    has cancelled since is skipped.  The divisor of a term is the first
+    generator, in list order, whose lead divides it.  Reducing at position j
+    adds terms only at positions >= j (a generator's lead position is its
+    first nonzero one), and at position j only below the term reduced, so the
+    positions drain in increasing order."""
     ctx = v.ctx
-    key = ctx.monomial_key
-    leads = [g.leading() for g in gens]
+    dkey = ctx.descending_key
+    divisors: list[list] = [[] for _ in v.comps]
+    for g in gens:
+        gpos, gm, _ = g.leading()
+        divisors[gpos].append((gm, g.comps))
     work = [dict(c.terms) for c in v.comps]
+    heaps = [[(dkey(m), m) for m in terms] for terms in work]
     rem = [dict() for _ in v.comps]
 
-    while True:
-        best = None
-        for j, terms in enumerate(work):
-            if not terms:
+    for j, terms in enumerate(work):
+        heap = heaps[j]
+        heapq.heapify(heap)
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = terms.get(m)
+            if c is None:
                 continue
-            # positions are scanned in increasing order, so first nonzero wins
-            best = (j, max(terms, key=key))
-            break
-        else:
-            break
-        j, m = best
-        c = work[j][m]
-        for g, (gpos, gm, _) in zip(gens, leads):
-            if gpos == j and mono_divides(gm, m):
-                shift = mono_div(m, gm)
-                for pos, comp in enumerate(g.comps):
-                    tgt = work[pos]
-                    for mm, cc in comp.terms.items():
-                        mmm = mono_mul(mm, shift)
-                        prod = cc * c
-                        if mmm in tgt:
-                            s = tgt[mmm] - prod
-                            if s:
-                                tgt[mmm] = s
+            for gm, comps in divisors[j]:
+                if mono_divides(gm, m):
+                    shift = mono_div(m, gm)
+                    for pos in range(j, len(comps)):
+                        tgt = work[pos]
+                        tgt_heap = heaps[pos]
+                        for mm, cc in comps[pos].terms.items():
+                            mmm = mono_mul(mm, shift)
+                            prod = cc * c
+                            if mmm in tgt:
+                                s = tgt[mmm] - prod
+                                if s:
+                                    tgt[mmm] = s
+                                else:
+                                    del tgt[mmm]
                             else:
-                                del tgt[mmm]
-                        else:
-                            tgt[mmm] = -prod
-                break
-        else:
-            rem[j][m] = c
-            del work[j][m]
+                                tgt[mmm] = -prod
+                                heapq.heappush(tgt_heap, (dkey(mmm), mmm))
+                    break
+            else:
+                rem[j][m] = c
+                del terms[m]
 
     return FreeVector(ctx, (Polynomial(ctx, d, _clean=False) for d in rem))
 
@@ -500,8 +535,12 @@ def _interreduce(basis: list[FreeVector], ctx: RingContext,
 def module_buchberger(vectors: Iterable[FreeVector], rank: int,
                       ctx: Optional[RingContext] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule of P^rank generated by
-    ``vectors`` (position-over-term).  Raises BudgetExceededError when more
-    than ``current_limits().spair`` S-pairs must be reduced."""
+    ``vectors`` (position-over-term).  Pairs are pruned within a lead
+    position by the Gebauer-Moeller criteria M and F (Gebauer & Moeller 1988)
+    and, in rank 1 only, by Buchberger's product criterion; surviving pairs
+    are reduced in order of (lcm degree, i, j).  Raises BudgetExceededError
+    when more than ``current_limits().spair`` S-pairs must be reduced; pruned
+    pairs are not reduced and do not count."""
     vectors = [v for v in vectors if v]
     if ctx is None:
         if not vectors:
@@ -515,32 +554,62 @@ def module_buchberger(vectors: Iterable[FreeVector], rank: int,
 
     basis: list[FreeVector] = []
     leads: list[tuple[int, Monomial]] = []
+    # the elements that still form new pairs: those whose lead no later lead
+    # divides
+    live: list[int] = []
     # pairs (lcm degree, i, j) with i < j and equal lead positions, popped
     # smallest first; leading terms of basis elements never change, so each
     # key is computed once, and keys are unique, so the order is total
     pairs: list[tuple[int, int, int]] = []
+    pruned = 0
 
     def add(v: FreeVector) -> None:
+        """Pair a new element with the live elements at its lead position,
+        keeping the pairs that the Gebauer-Moeller criteria M and F leave,
+        then retire the live elements whose lead the new lead divides: a pair
+        (k, later) is covered by (k, new) and (new, later)."""
+        nonlocal pruned
         new = len(basis)
         pos, m, _ = v.leading()
         basis.append(v)
         leads.append((pos, m))
-        for k, (kpos, km) in enumerate(leads[:new]):
-            if kpos == pos:
-                heapq.heappush(pairs, (mono_degree(mono_lcm(km, m)), k, new))
+        # M: a new pair goes when another new pair's lcm divides its lcm;
+        # F: of new pairs with equal lcms one stays, the one with the oldest
+        # partner, since the candidates run newest first.  In rank 1 a pair
+        # with coprime leads stays as a witness here and is then dropped by
+        # the product criterion.  Pending pairs are never dropped (the B
+        # criterion): with pairs taken by lcm degree, dropping them made lex
+        # Katsura-4 run for minutes instead of a fraction of a second, as the
+        # pairs of short early elements no longer trimmed the later ones.
+        cands = [(k, mono_lcm(leads[k][1], m)) for k in reversed(live)
+                 if leads[k][0] == pos]
+        chosen: list[tuple[int, Monomial, bool]] = []
+        for idx, (k, l) in enumerate(cands):
+            coprime = rank == 1 and l == mono_mul(leads[k][1], m)
+            if coprime or not (
+                    any(mono_divides(l2, l) for _, l2 in cands[idx + 1:])
+                    or any(mono_divides(l2, l) for _, l2, _ in chosen)):
+                chosen.append((k, l, coprime))
+        kept = [(mono_degree(l), k, new) for k, l, coprime in chosen
+                if not coprime]
+        for pair in kept:
+            heapq.heappush(pairs, pair)
+        pruned += len(cands) - len(kept)
+        live[:] = [k for k in live
+                   if leads[k][0] != pos or not mono_divides(m, leads[k][1])]
+        live.append(new)
 
     for v in vectors:
         add(v.monic())
     budget = current_limits().spair
     spent = 0
     while pairs:
+        if spent >= budget:
+            raise BudgetExceededError(
+                f"S-pair budget {budget} exceeded after {len(basis)} basis "
+                f"elements, {len(pairs)} pairs pending, {pruned} pairs pruned")
         _, i, j = heapq.heappop(pairs)
-        mi, mj = leads[i][1], leads[j][1]
-        if rank == 1 and mono_lcm(mi, mj) == mono_mul(mi, mj):
-            continue  # product criterion
         spent += 1
-        if spent > budget:
-            raise BudgetExceededError(f"S-pair budget {budget} exceeded")
         r = _reduce_vector(_spair(basis[i], basis[j]), basis)
         if r:
             add(r.monic())
@@ -574,13 +643,18 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ctx = f.ctx
+    dkey = ctx.descending_key
     gm, gc = g.leading()
     out: dict = {}
     work = dict(f.terms)
-    key = ctx.monomial_key
-    while work:
-        m = max(work, key=key)
-        c = work[m]
+    # pending terms by descending key, as in _reduce_vector
+    heap = [(dkey(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         if not mono_divides(gm, m):
             raise ValueError("not exactly divisible")
         shift = mono_div(m, gm)
@@ -597,6 +671,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
                     del work[mmm]
             else:
                 work[mmm] = -prod
+                heapq.heappush(heap, (dkey(mmm), mmm))
     return Polynomial(ctx, out, _clean=False)
 
 

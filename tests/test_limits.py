@@ -38,7 +38,8 @@ def test_spair_budget_stops_gb(tmp_path, capsys):
                             "polys": ["x^2 + y", "y^2 + x", "x*y + 1"]}])
     [rec] = run_cli(tmp_path, capsys, data, "--spair-budget", "1")
     assert rec["status"] == "error"
-    assert rec["error"] == "S-pair budget 1 exceeded"
+    assert rec["error"] == ("S-pair budget 1 exceeded after 3 basis elements, "
+                            "1 pairs pending, 1 pairs pruned")
 
 
 def test_chain_budget_stops_nilpotence(tmp_path, capsys):

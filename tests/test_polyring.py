@@ -1,17 +1,22 @@
+import hashlib
+import heapq
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobkit.field import FieldSpec
-from frobkit.polyring import (FreeVector, ParseError, Polynomial,
-                              QuotientContext, RingContext, buchberger,
+from frobkit.polyring import (BudgetExceededError, FreeVector, Limits,
+                              ParseError, Polynomial, QuotientContext,
+                              RingContext, _interreduce, _reduce_vector,
+                              _spair, buchberger, current_limits,
                               exact_divide, format_polynomial, format_vector,
                               ideal_quotient, is_regular_sequence,
                               module_buchberger, module_staircase,
                               normal_form, parse_polynomial, parse_vector,
-                              saturate, submodule_equal)
+                              saturate, submodule_equal, use_limits)
 
 
 @pytest.fixture
@@ -85,6 +90,20 @@ def test_monomial_orders():
     y3 = (0, 3)
     assert lex.monomial_key(x2) > lex.monomial_key(y3)
     assert grev.monomial_key(y3) > grev.monomial_key(x2)
+    # the heap key orders monomials as monomial_key does, reversed, and the
+    # cached leading term is the largest term by monomial_key
+    rng = random.Random(6)
+    monos = [m for m in product(range(5), repeat=3) if sum(m) <= 4]
+    for order in ("lex", "grevlex"):
+        ctx = RingContext(FieldSpec(3), ("x", "y", "z"), order)
+        assert (sorted(monos, key=ctx.descending_key)
+                == sorted(monos, key=ctx.monomial_key, reverse=True))
+        for _ in range(30):
+            f = rand_poly(rng, ctx, 4, 6)
+            if f:
+                m = max(f.terms, key=ctx.monomial_key)
+                assert f.leading() == (m, f.terms[m])
+                assert f.leading() == (m, f.terms[m])  # from the cache
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +176,166 @@ def test_reduced_basis_is_canonical(case, data):
     assert reduced(gens + [member]) == expected
 
 
+# ---------------------------------------------------------------------------
+# oracles: the max-scan division and the all-pairs Buchberger loop
+
+def max_scan_reduce(v: FreeVector, gens: list) -> FreeVector:
+    """Remainder of ``v`` against monic ``gens``: at every step the largest
+    pending term of the first nonzero position is found by a max over
+    monomial_key, and the first generator whose lead divides it reduces it."""
+    ctx = v.ctx
+    key = ctx.monomial_key
+    leads = [g.leading() for g in gens]
+    work = [dict(c.terms) for c in v.comps]
+    rem = [dict() for _ in v.comps]
+    while any(work):
+        j = next(j for j, terms in enumerate(work) if terms)
+        m = max(work[j], key=key)
+        c = work[j][m]
+        for g, (gpos, gm, _) in zip(gens, leads):
+            if gpos == j and all(x <= y for x, y in zip(gm, m)):
+                shift = tuple(x - y for x, y in zip(m, gm))
+                for pos, comp in enumerate(g.comps):
+                    tgt = work[pos]
+                    for mm, cc in comp.terms.items():
+                        mmm = tuple(x + y for x, y in zip(mm, shift))
+                        prod = cc * c
+                        if mmm in tgt:
+                            s = tgt[mmm] - prod
+                            if s:
+                                tgt[mmm] = s
+                            else:
+                                del tgt[mmm]
+                        else:
+                            tgt[mmm] = -prod
+                break
+        else:
+            rem[j][m] = c
+            del work[j][m]
+    return FreeVector(ctx, (Polynomial(ctx, d) for d in rem))
+
+
+def all_pairs_buchberger(vectors: list, rank: int, ctx: RingContext):
+    """Buchberger's loop over every pair with equal lead positions, popped by
+    (lcm degree, i, j), pruned by the product criterion in rank 1 only, with
+    max-scan division; the basis is then reduced by the library."""
+    basis, leads, pairs = [], [], []
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def add(v):
+        pos, m, _ = v.leading()
+        for k, (kpos, km) in enumerate(leads):
+            if kpos == pos:
+                heapq.heappush(pairs, (sum(lcm(km, m)), k, len(basis)))
+        basis.append(v)
+        leads.append((pos, m))
+
+    for v in vectors:
+        if v:
+            add(v.monic())
+    budget, spent = current_limits().spair, 0
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        mi, mj = leads[i][1], leads[j][1]
+        if rank == 1 and lcm(mi, mj) == tuple(x + y for x, y in zip(mi, mj)):
+            continue
+        spent += 1
+        if spent > budget:
+            raise BudgetExceededError(f"S-pair budget {budget} exceeded")
+        r = max_scan_reduce(_spair(basis[i], basis[j]), basis)
+        if r:
+            add(r.monic())
+    return _interreduce(basis, ctx, rank)
+
+
+@st.composite
+def module_cases(draw):
+    """A ring GF(p)[x,y(,z)] with p in {2, 3, 32003} in either order, a rank
+    1-3, one to three generators and a dividend.  A generator is zero before
+    a drawn position and has up to five terms of degree at most 2 at that
+    position and at each later one.  The dividend has up to six terms of
+    degree at most 4 at every position."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    nvars = draw(st.integers(2, 3))
+    ctx = RingContext(FieldSpec(p), ("x", "y", "z")[:nvars],
+                      draw(st.sampled_from(["lex", "grevlex"])))
+    rank = draw(st.integers(1, 3))
+
+    def vector(first, degree, size):
+        monos = [m for m in product(range(degree + 1), repeat=nvars)
+                 if sum(m) <= degree]
+        terms = st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1),
+                                max_size=size)
+        return FreeVector(ctx, (
+            Polynomial.zero(ctx) if j < first else Polynomial(
+                ctx, {m: ctx.field.from_int(c)
+                      for m, c in draw(terms).items()})
+            for j in range(rank)))
+
+    gens = [vector(draw(st.integers(0, rank - 1)), 2, 5)
+            for _ in range(draw(st.integers(1, 3)))]
+    return ctx, rank, [g for g in gens if g], vector(0, 4, 6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(module_cases())
+def test_division_matches_max_scan(case):
+    _, _, gens, v = case
+    gens = [g.monic() for g in gens]
+    assert _reduce_vector(v, gens) == max_scan_reduce(v, gens)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(module_cases())
+def test_buchberger_matches_all_pairs(case):
+    ctx, rank, gens, _ = case
+    assume(gens)
+    with use_limits(Limits(spair=200)):
+        try:
+            expected = all_pairs_buchberger(gens, rank, ctx)
+        except BudgetExceededError:
+            assume(False)
+        got = module_buchberger(gens, rank, ctx)
+    assert ([format_vector(g) for g in got.generators]
+            == [format_vector(g) for g in expected.generators])
+
+
+# Katsura-4 over GF(32003), as the benchmark's ideal-groebner workload builds
+# it before rescaling
+KATSURA_4 = ["2*x4^2 + 2*x3^2 + 2*x2^2 + 2*x1^2 + 32002*x0 + x0^2",
+             "2*x3*x4 + 2*x2*x3 + 32002*x1 + 2*x1*x2 + 2*x0*x1",
+             "32002*x2 + 2*x2*x4 + 2*x1*x3 + x1^2 + 2*x0*x2",
+             "32002*x3 + 2*x1*x4 + 2*x1*x2 + 2*x0*x3",
+             "32002 + 2*x4 + 2*x3 + 2*x2 + 2*x1 + x0"]
+
+
+def basis_digest(gb) -> str:
+    text = "\n".join(format_vector(g) for g in gb.generators)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_bases():
+    """Two reduced bases, byte for byte: grevlex Katsura-4 and one rank-2
+    module of relations over GF(2)[x,y]/(x^4,y^4)."""
+    ring = RingContext(FieldSpec(32003), tuple(f"x{i}" for i in range(5)))
+    gb = buchberger([parse_polynomial(ring, t) for t in KATSURA_4], ring)
+    assert len(gb.generators) == 13
+    assert basis_digest(gb) == ("1ea72285b0d7f83998852a03d60ea4cd"
+                                "8bd9888b091e6f283686a94c7b28183d")
+    r2 = RingContext(FieldSpec(2), ("x", "y"))
+    q = QuotientContext.from_generators(
+        r2, [parse_polynomial(r2, "x^4"), parse_polynomial(r2, "y^4")])
+    gb = q.module_relations(2, [parse_vector(r2, 2, "[x*y, x^2 + y^3]"),
+                                parse_vector(r2, 2, "[y^2 + x, x*y^2]")])
+    assert [format_vector(g) for g in gb.generators] == [
+        "[y^2 + x, x*y^2]", "[x*y, y^3 + x^2]", "[x^2, 0]", "[0, x^2*y]",
+        "[0, y^4]", "[0, x*y^3 + x^3]", "[0, x^4]"]
+    assert basis_digest(gb) == ("2ad9cecb95b9dd36a53bd09441ceb561"
+                                "de0081b18586f06d200f49dcd957d3b0")
+
+
 def test_normal_form_is_idempotent(ring2):
     rng = random.Random(4)
     x = Polynomial.variable(ring2, "x")
@@ -199,6 +378,28 @@ def test_exact_divide(ring3):
         if g.is_zero():
             continue
         assert exact_divide(f * g, g) == f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["lex", "grevlex"]), st.sampled_from([2, 3, 32003]),
+       st.data())
+def test_exact_divide_inverts_multiplication(order, p, data):
+    ctx = RingContext(FieldSpec(p), ("x", "y", "z"), order)
+    monos = [m for m in product(range(3), repeat=3) if sum(m) <= 3]
+
+    def poly(min_size):
+        terms = data.draw(st.dictionaries(
+            st.sampled_from(monos), st.integers(1, p - 1),
+            min_size=min_size, max_size=4))
+        return Polynomial(ctx, {m: ctx.field.from_int(c)
+                                for m, c in terms.items()})
+
+    f, g = poly(0), poly(1)
+    assert exact_divide(f * g, g) == f
+    if g.terms.keys() - {(0, 0, 0)}:
+        # a nonconstant g divides no f*g + 1
+        with pytest.raises(ValueError):
+            exact_divide(f * g + Polynomial.one(ctx), g)
 
 
 def test_ideal_quotient_and_saturation(ring2):
