@@ -7,9 +7,9 @@ from .field import FieldElement, FieldSpec, frobenius, frobenius_root
 from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
                        Limits, ParseError, Polynomial, QuotientContext,
                        RingContext, buchberger, format_polynomial,
-                       format_vector, ideal_quotient, is_regular_sequence,
-                       module_buchberger, module_quotient, module_staircase,
-                       normal_form, parse_polynomial, parse_vector, saturate,
+                       format_vector, is_regular_sequence, module_buchberger,
+                       module_quotient, module_staircase, normal_form,
+                       parse_polynomial, parse_vector, saturate,
                        submodule_equal, use_limits)
 from .frobenius import (FrobeniusDecomposition, cartier_volume,
                         cartier_volume_by_decomposition, pth_root_decompose)

@@ -52,9 +52,13 @@ def _twist_vector(v: FreeVector, k: int) -> FreeVector:
 
 def twisted_relations(n: GammaSheaf, level: int) -> GroebnerBasis:
     """Presentation of the level-fold Frobenius pullback F^(level)*N: the
-    [p^level]-twists of the relations together with I e_j."""
+    [p^level]-twists of the relations together with I e_j.  A member of
+    I P^s twists into I P^s, so only the relations' normal forms mod I that
+    are not zero are twisted; for free N none is."""
+    reduced = (FreeVector(n.ring, (n.ctx.nf(c) for c in g.comps))
+               for g in n.relations.generators)
     return n.ctx.module_relations(
-        n.rank, (_twist_vector(g, level) for g in n.relations.generators))
+        n.rank, (_twist_vector(v, level) for v in reduced if v))
 
 
 def gamma_structure_violations(n: GammaSheaf) -> list[int]:

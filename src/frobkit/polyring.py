@@ -298,12 +298,13 @@ class Polynomial:
         if target is None:
             target = coords[0].spec if coords else self.ctx.field
         base = self.ctx.field
-        if base.e > 1 and target != base:
+        same = base == target
+        if base.e > 1 and not same:
             raise ValueError("extension base fields require points with "
                              "coordinates in the base field itself")
         acc = target.zero()
         for m, c in self.terms.items():
-            cv = c if base == target else target.from_int(c.coeffs[0])
+            cv = c if same else target.from_int(c.coeffs[0])
             for x, e in zip(coords, m):
                 if e:
                     cv = cv * x ** e
@@ -636,89 +637,26 @@ def submodule_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact division, quotients, saturation
-
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The quotient f/g when g divides f exactly; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ctx = f.ctx
-    dkey = ctx.descending_key
-    gm, gc = g.leading()
-    out: dict = {}
-    work = dict(f.terms)
-    # pending terms by descending key, as in _reduce_vector
-    heap = [(dkey(m), m) for m in work]
-    heapq.heapify(heap)
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.get(m)
-        if c is None:
-            continue
-        if not mono_divides(gm, m):
-            raise ValueError("not exactly divisible")
-        shift = mono_div(m, gm)
-        q = c / gc
-        out[shift] = q
-        for mm, cc in g.terms.items():
-            mmm = mono_mul(mm, shift)
-            prod = cc * q
-            if mmm in work:
-                s = work[mmm] - prod
-                if s:
-                    work[mmm] = s
-                else:
-                    del work[mmm]
-            else:
-                work[mmm] = -prod
-                heapq.heappush(heap, (dkey(mmm), mmm))
-    return Polynomial(ctx, out, _clean=False)
-
-
-def _elim_ctx(ctx: RingContext) -> RingContext:
-    return RingContext(ctx.field, ("~t",) + ctx.vars, "lex")
-
-
-def _lift_poly(f: Polynomial, ectx: RingContext, tdeg: int = 0) -> Polynomial:
-    return Polynomial(ectx, {(tdeg,) + m: c for m, c in f.terms.items()},
-                      _clean=False)
-
-
-def _project_poly(f: Polynomial, ctx: RingContext) -> Polynomial:
-    return Polynomial(ctx, {m[1:]: c for m, c in f.terms.items()}, _clean=False)
-
+# quotients, saturation
 
 def module_quotient(n: GroebnerBasis, h: Polynomial) -> GroebnerBasis:
-    """(N : h) = {v : h*v in N}, via elimination: t*N + (1-t)*h*P^s, then
-    dividing the t-free part by h."""
+    """(N : h) = {v : h*v in N} for N in P^s.  The vectors (h e_j | e_j) and
+    (g | 0), g in N, generate a submodule of P^(2s) whose elements with zero
+    first block are the (0 | v) with h*v in N.  Position-over-term order
+    ranks every position of the first block above the second, so the
+    elements of its reduced basis with lead position >= s, cut to their last
+    s components, are the reduced basis of (N : h), already in order."""
     if h.is_zero():
         raise ValueError("quotient by zero")
-    ctx, rank = n.ctx, n.rank
-    if not n.generators:
-        return n
-    ectx = _elim_ctx(ctx)
-    t = Polynomial.monomial(ectx, (1,) + (0,) * ctx.nvars)
-    one_minus_t = Polynomial.one(ectx) - t
-    lifted = [FreeVector(ectx, (t * _lift_poly(c, ectx) for c in v.comps))
-              for v in n.generators]
-    hl = _lift_poly(h, ectx)
-    for j in range(rank):
-        lifted.append(FreeVector.unit(ectx, rank, j, one_minus_t * hl))
-    egb = module_buchberger(lifted, rank, ectx)
-    out = []
-    for v in egb.generators:
-        if all(m[0] == 0 for c in v.comps for m in c.terms):
-            proj = FreeVector(ctx, (_project_poly(c, ctx) for c in v.comps))
-            out.append(FreeVector(ctx, (exact_divide(c, h) if c else c
-                                        for c in proj.comps)))
-    return module_buchberger(out, rank, ctx)
-
-
-def ideal_quotient(i_gb: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """(I : g), computed by the elimination construction."""
-    if i_gb.rank != 1:
-        raise RankMismatchError("ideal quotient needs a rank-1 basis")
-    return module_quotient(i_gb, g)
+    ctx, s = n.ctx, n.rank
+    zeros = (Polynomial.zero(ctx),) * s
+    gens = [FreeVector(ctx, FreeVector.unit(ctx, s, j, h).comps
+                       + FreeVector.unit(ctx, s, j).comps) for j in range(s)]
+    gens += [FreeVector(ctx, g.comps + zeros) for g in n.generators]
+    full = module_buchberger(gens, 2 * s, ctx)
+    return GroebnerBasis(ctx, s, tuple(FreeVector(ctx, v.comps[s:])
+                                       for v in full.generators
+                                       if v.leading()[0] >= s))
 
 
 def saturate(n: GroebnerBasis, h: Polynomial) -> GroebnerBasis:
@@ -747,7 +685,7 @@ def is_regular_sequence(seq: list[Polynomial], ctx: RingContext) -> bool:
     for f in seq:
         if prev:
             pgb = buchberger(prev, ctx)
-            q = ideal_quotient(pgb, f)
+            q = module_quotient(pgb, f)
             if not submodule_equal(q, pgb):
                 return False
         prev.append(f)
@@ -768,19 +706,16 @@ def module_staircase(gb: GroebnerBasis, rank: int) -> Optional[list[tuple[int, M
     out: list[tuple[int, Monomial]] = []
     for j in range(rank):
         ms = leads[j]
+        # a unit lead empties this position's fiber
+        if (0,) * n in ms:
+            continue
         bounds = []
         for i in range(n):
             pure = [m[i] for m in ms if all(m[k] == 0 for k in range(n) if k != i)
                     and m[i] > 0]
             if not pure:
-                # unit relation at this position makes the fiber empty
-                if any(all(x == 0 for x in m) for m in ms):
-                    bounds = []
-                    break
                 return None
             bounds.append(min(pure))
-        if bounds == [] and ms and any(all(x == 0 for x in m) for m in ms):
-            continue
         for b in product(*(range(bd) for bd in bounds)):
             if not any(mono_divides(m, b) for m in ms):
                 out.append((j, b))

@@ -77,8 +77,9 @@ def test_every_groebner_path_obeys_the_spair_limit():
     n = GammaSheaf.create(ctx, 1, [[Polynomial.zero(ring)]],
                           [parse_vector(ring, 1, "x^2 + y"),
                            parse_vector(ring, 1, "x*y + 1")])
-    # each quotient of the saturation takes up to three
-    r = CartierModule.create(ctx, 1, [parse_vector(ring, 1, "x^2*y + y^3")])
+    # the first quotient of the saturation takes four
+    r = CartierModule.create(ctx, 2, [parse_vector(ring, 2, "[x*y, y]"),
+                                      parse_vector(ring, 2, "[0, x^2 + x*y]")])
     assert is_nilpotent(m).is_nilpotent
     assert not gamma_structure_violations(n)
     restrict_to_principal_open(r, x + y)

@@ -12,9 +12,9 @@ from frobkit.polyring import (BudgetExceededError, FreeVector, Limits,
                               ParseError, Polynomial, QuotientContext,
                               RingContext, _interreduce, _reduce_vector,
                               _spair, buchberger, current_limits,
-                              exact_divide, format_polynomial, format_vector,
-                              ideal_quotient, is_regular_sequence,
-                              module_buchberger, module_staircase,
+                              format_polynomial, format_vector,
+                              is_regular_sequence, module_buchberger,
+                              module_quotient, module_staircase,
                               normal_form, parse_polynomial, parse_vector,
                               saturate, submodule_equal, use_limits)
 
@@ -370,43 +370,48 @@ def test_submodule_equal(ring2):
 # ---------------------------------------------------------------------------
 # quotients, saturation, regularity
 
-def test_exact_divide(ring3):
-    rng = random.Random(5)
-    for _ in range(30):
-        f = rand_poly(rng, ring3, 3, 3)
-        g = rand_poly(rng, ring3, 2, 2)
-        if g.is_zero():
-            continue
-        assert exact_divide(f * g, g) == f
+def test_module_quotient_in_rank_two(ring2):
+    # N = <(x, y), (0, x)>: x*(x, 0) = x*(x, y) - y*(0, x) and x*(0, 1) lie
+    # in N, so (N : x) = <(x, 0), (0, 1)>, which contains N
+    n = module_buchberger([parse_vector(ring2, 2, "[x, y]"),
+                           parse_vector(ring2, 2, "[0, x]")], 2)
+    q = module_quotient(n, parse_polynomial(ring2, "x"))
+    assert [format_vector(v) for v in q.generators] == ["[x, 0]", "[0, 1]"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(["lex", "grevlex"]), st.sampled_from([2, 3, 32003]),
-       st.data())
-def test_exact_divide_inverts_multiplication(order, p, data):
-    ctx = RingContext(FieldSpec(p), ("x", "y", "z"), order)
-    monos = [m for m in product(range(3), repeat=3) if sum(m) <= 3]
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3]), st.data())
+def test_module_quotient_properties(rank, p, data):
+    ctx = RingContext(FieldSpec(p), ("x", "y"))
+    monos = [m for m in product(range(3), repeat=2) if sum(m) <= 2]
 
     def poly(min_size):
         terms = data.draw(st.dictionaries(
             st.sampled_from(monos), st.integers(1, p - 1),
-            min_size=min_size, max_size=4))
+            min_size=min_size, max_size=3))
         return Polynomial(ctx, {m: ctx.field.from_int(c)
                                 for m, c in terms.items()})
 
-    f, g = poly(0), poly(1)
-    assert exact_divide(f * g, g) == f
-    if g.terms.keys() - {(0, 0, 0)}:
-        # a nonconstant g divides no f*g + 1
-        with pytest.raises(ValueError):
-            exact_divide(f * g + Polynomial.one(ctx), g)
+    def vectors():
+        return [FreeVector(ctx, [poly(0) for _ in range(rank)])
+                for _ in range(data.draw(st.integers(1, 2)))]
+
+    h = poly(1)
+    n = module_buchberger(vectors(), rank, ctx)
+    q = module_quotient(n, h)
+    assert all(normal_form(g, q).is_zero() for g in n.generators)
+    assert all(normal_form(g.scale(h), n).is_zero() for g in q.generators)
+    # P^rank has no torsion, so h*v in h*M only for v in M
+    m = module_buchberger(vectors(), rank, ctx)
+    hm = module_buchberger([g.scale(h) for g in m.generators], rank, ctx)
+    assert submodule_equal(module_quotient(hm, h), m)
 
 
 def test_ideal_quotient_and_saturation(ring2):
     x = Polynomial.variable(ring2, "x")
     y = Polynomial.variable(ring2, "y")
     i = buchberger([x * y, y * y])
-    q = ideal_quotient(i, y)
+    q = module_quotient(i, y)
     # (xy, y^2) : y = (x, y)
     assert submodule_equal(q, buchberger([x, y]))
     # y^2 lies in the ideal, so every f has f*y^2 in I: saturation is (1)

@@ -236,6 +236,35 @@ def test_session_over_a_large_prime_loads_at_once():
     assert "x^2 + 3*y" in reports[0]["result"]["basis"]
 
 
+def test_gamma_over_a_large_prime_quotient_answers_at_once():
+    # the relations are I e_0 only, so no relation is Frobenius-twisted to
+    # exponents near p
+    start = time.perf_counter()
+    reports = run_session(base_session(
+        field={"p": 2305843009213693951}, ring={"vars": ["x", "y"]},
+        ideal=["x^2 + 3*y"],
+        objects={"N": {"gamma": {"rank": 1, "matrix": [["1"]]}}},
+        commands=[{"op": "validate", "target": "N"},
+                  {"op": "nilpotent", "target": "N"}]))
+    assert time.perf_counter() - start < 1.0
+    assert [r["result"] for r in reports] == [
+        {"valid": True, "violations": []},
+        {"verdict": "not_nilpotent_up_to", "bound": 16}]
+
+
+def test_supported_on_a_rank_two_module():
+    # M = P^2/<(x, y), (0, x)> is killed by x^2, so it lives on V(x) but not
+    # on V(y)
+    reports = run_ok([{"op": "supported-on", "target": "M", "ideal": [v]}
+                      for v in ("x", "y")],
+                     ring={"vars": ["x", "y"]},
+                     objects={"M": {"module": {
+                         "rank": 2, "relations": ["[x, y]", "[0, x]"],
+                         "kappa": {"0,1 0": "[0, 1]", "1,0 1": "[0, 1]"}}}})
+    assert [r["result"] for r in reports] == [{"supported": True},
+                                              {"supported": False}]
+
+
 @pytest.mark.parametrize("cmd,key", [
     ({"op": "gb", "polys": "xy"}, "polys"),
     ({"op": "supported-on", "target": "Z", "ideal": "x"}, "ideal"),
