@@ -12,24 +12,21 @@ from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
                        parse_polynomial, parse_vector, saturate,
                        submodule_equal, use_limits)
 from .frobenius import (FrobeniusDecomposition, cartier_volume,
-                        cartier_volume_by_decomposition, pth_root_decompose)
+                        pth_root_decompose)
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict, SemilinearEndo, StableImageResult,
                       cartier_structure_violations, hom_commuting,
                       is_crystal_supported_on, is_nilpotent, kappa_apply,
                       nil_isomorphism_test, restrict_to_principal_open,
-                      semilinear_nilpotent, stable_image, to_semilinear,
-                      volume_cartier_module)
-from .gamma import (GammaIterate, GammaSheaf, frobenius_twist_root,
-                    gamma_is_nilpotent, gamma_iterate,
-                    gamma_structure_violations, gen_stable_dimension,
-                    twist_to_cartier, twist_to_gamma)
+                      stable_image, volume_cartier_module)
+from .gamma import (GammaIterate, GammaSheaf, gamma_is_nilpotent,
+                    gamma_iterate, gamma_structure_violations,
+                    gen_stable_dimension, twist_to_cartier, twist_to_gamma)
 from .koszul import (ClosedImmersion, TransitionMatrix, cartier_pullback,
                      check_pullback_twist_commutes, dualizing_module,
                      gamma_pullback, transition_factor)
 from .solutions import (FiberDegenerationError, GuardExceededError,
                         RationalPoint, SolutionSpace, artin_schreier_kernel,
-                        brute_force_solutions, enumerate_points, point_field,
-                        solutions_at_point)
+                        enumerate_points, point_field, solutions_at_point)
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@ module P^s together with a p^(-1)-linear operator kappa given by its value
 table on the F_* generators {x^a e_j}.  Provides application and iteration of
 kappa, the descending image chain and its stable limit, nilpotence and
 crystal-level tests, restriction to principal opens, and a finite-dimensional
-tier where kappa becomes an explicit semilinear matrix operator.
+tier of p^(-1)-linear operators on k^d: their image chain, the maps that
+commute with two of them, and the nil-isomorphism test.
 """
 from __future__ import annotations
 
@@ -16,12 +17,8 @@ from .frobenius import pth_root_decompose, residue_exponents
 from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
                        Monomial, Polynomial, QuotientContext,
                        RankMismatchError, RingContext, current_limits,
-                       module_buchberger, module_staircase, normal_form,
+                       module_buchberger, normal_form,
                        saturate, submodule_equal)
-
-
-class InvalidStructureError(ValueError):
-    """A kappa table is inconsistent with the module relations."""
 
 
 class InfiniteDimensionalError(ValueError):
@@ -286,62 +283,24 @@ class SemilinearEndo:
     spec: FieldSpec
 
     def apply(self, v: list[FieldElement]) -> list[FieldElement]:
-        return linalg.mat_vec([list(r) for r in self.matrix],
-                              [frobenius_root(x) for x in v])
+        return linalg.mat_vec(self.rows(), [frobenius_root(x) for x in v])
 
     def rows(self) -> list[list[FieldElement]]:
         return [list(r) for r in self.matrix]
 
 
-def to_semilinear(m: CartierModule) -> SemilinearEndo:
-    """Matrix of kappa on the monomial staircase basis of P^s / relations.
-    Requires a finite staircase."""
-    st = module_staircase(m.relations, m.rank)
-    if st is None:
-        raise InfiniteDimensionalError("quotient module is not a finite "
-                                       "dimensional k-space")
-    spec = m.ring.field
-    index = {bm: t for t, bm in enumerate(st)}
-    d = len(st)
-    cols = []
-    for (j, b) in st:
-        image = kappa_apply(m, FreeVector.unit(m.ring, m.rank, j,
-                                               Polynomial.monomial(m.ring, b)))
-        col = [spec.zero()] * d
-        for pos, comp in enumerate(image.comps):
-            for mono, c in comp.terms.items():
-                t = index.get((pos, mono))
-                if t is None:
-                    raise InvalidStructureError("normal form escaped the "
-                                                "staircase")
-                col[t] = col[t] + c
-        cols.append(col)
-    matrix = tuple(tuple(cols[t][r] for t in range(d)) for r in range(d))
-    return SemilinearEndo(d, matrix, spec)
-
-
-def _image_span(t: SemilinearEndo,
-                basis: list[list[FieldElement]]) -> list[list[FieldElement]]:
-    images = [t.apply(b) for b in basis]
-    red, _ = linalg.rref(images)
-    return red
-
-
-def semilinear_nilpotent(t: SemilinearEndo) -> NilpotenceVerdict:
-    """Iterate image subspaces V >= T(V) >= T^2(V) >= ...; the chain descends
-    and is fixed once two consecutive terms agree, so it settles within dim
-    steps.  Nilpotent iff the limit is zero."""
-    spec = t.spec
-    cur = [list(r) for r in linalg.identity(spec, t.dim)]
-    for step in range(1, t.dim + 2):
-        nxt = _image_span(t, cur)
-        if not nxt:
-            return NilpotenceVerdict.nilpotent(step)
-        if len(nxt) == len(cur):
-            # T maps span(cur) into itself with full rank: fixed forever
-            return NilpotenceVerdict.not_nilpotent()
-        cur = nxt
-    return NilpotenceVerdict.not_nilpotent()
+def semilinear_image_chain(t: SemilinearEndo) -> list:
+    """The image chain k^d = V_0 > V_1 > ... with V_(i+1) = T(V_i), each
+    level as the nonzero rows of an rref basis, up to and including the
+    stable image T^d(k^d), which is the last entry.  The chain descends
+    strictly until two consecutive levels have the same dimension, and is
+    fixed from there on, so it has at most d + 1 entries."""
+    chain = [linalg.identity(t.spec, t.dim)]
+    while True:
+        nxt, _ = linalg.rref([t.apply(b) for b in chain[-1]])
+        if len(nxt) == len(chain[-1]):
+            return chain
+        chain.append(nxt)
 
 
 def hom_commuting(m: SemilinearEndo, n: SemilinearEndo) -> list[tuple]:
@@ -369,53 +328,24 @@ def hom_commuting(m: SemilinearEndo, n: SemilinearEndo) -> list[tuple]:
             for phi in linalg.prime_field_kernel(images, spec)]
 
 
-def _commutes(phi: list[list[FieldElement]], m: SemilinearEndo,
-              n: SemilinearEndo) -> bool:
-    lhs = linalg.mat_mul(phi, m.rows())
-    return lhs == linalg.mat_mul(n.rows(), linalg.mat_frobenius_root(phi))
-
-
 def nil_isomorphism_test(phi, m: SemilinearEndo, n: SemilinearEndo) -> bool:
-    """phi is a nil-isomorphism when the operators induced on its kernel and
-    cokernel are both nilpotent.  phi must commute with the operators."""
+    """phi is a nil-isomorphism when T_M on ker phi and T_N on coker phi are
+    nilpotent; phi must be a dN x dM matrix that commutes with the
+    operators.  Let S = T^d(k^d) be the stable image, on which T is
+    bijective; phi T_M^k = T_N^k phi gives phi(S_M) <= S_N.  Proof of the
+    rule: T_M^dM maps ker phi into its intersection with S_M, on which T_M
+    is bijective, so ker phi is nilpotent iff it meets S_M in 0; coker phi
+    is nilpotent iff S_N <= im phi, and then S_N = T_N^dM(S_N) <=
+    T_N^dM(im phi) = phi(S_M).  So phi is a nil-isomorphism iff it is
+    injective on S_M and dim S_M = dim S_N."""
     phi = [list(r) for r in phi]
-    if not _commutes(phi, m, n):
+    if len(phi) != n.dim or any(len(r) != m.dim for r in phi):
+        raise ValueError(f"map must be a {n.dim}x{m.dim} matrix")
+    if (linalg.mat_mul(phi, m.rows())
+            != linalg.mat_mul(n.rows(), linalg.mat_frobenius_root(phi))):
         raise ValueError("map does not commute with the operators")
-    spec = m.spec
-
-    # kernel side: T_M preserves ker(phi) because phi T_M = T_N phi
-    kbasis = linalg.nullspace(phi, spec) if m.dim else []
-    if kbasis:
-        kt = []  # columns of the induced operator in the kernel basis
-        kmat = [[kbasis[t][i] for t in range(len(kbasis))]
-                for i in range(m.dim)]
-        for b in kbasis:
-            img = m.apply(b)
-            coords = linalg.solve(kmat, img)
-            if coords is None:
-                return False  # should not happen; defensive
-            kt.append(coords)
-        d = len(kbasis)
-        kmatrix = tuple(tuple(kt[t][r] for t in range(d)) for r in range(d))
-        kv = semilinear_nilpotent(SemilinearEndo(d, kmatrix, spec))
-        if not kv.is_nilpotent:
-            return False
-
-    # cokernel side: coordinates on the non-pivot positions of the image
-    cols = [[phi[i][j] for i in range(n.dim)] for j in range(m.dim)]
-    red, pivots = linalg.rref(cols)
-    free = [i for i in range(n.dim) if i not in pivots]
-    if free:
-        ct = []
-        for f in free:
-            v = [spec.zero()] * n.dim
-            v[f] = spec.one()
-            img = n.apply(v)
-            resid = linalg.reduce_against(red, pivots, img)
-            ct.append([resid[i] for i in free])
-        d = len(free)
-        cmatrix = tuple(tuple(ct[t][r] for t in range(d)) for r in range(d))
-        cv = semilinear_nilpotent(SemilinearEndo(d, cmatrix, spec))
-        if not cv.is_nilpotent:
-            return False
-    return True
+    s_m = semilinear_image_chain(m)[-1]
+    s_n = semilinear_image_chain(n)[-1]
+    # the columns are phi(b) for the basis vectors b of S_M
+    on_s_m = linalg.mat_mul(phi, [list(c) for c in zip(*s_m)])
+    return len(s_m) == len(s_n) and not linalg.nullspace(on_s_m, m.spec)

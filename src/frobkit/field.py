@@ -255,7 +255,10 @@ class FieldElement:
         return f"FieldElement({self.coeffs}, GF({self.spec.p}^{self.spec.e}))"
 
     def __str__(self) -> str:
-        if self.spec.e == 1:
+        """A prime-subfield element prints as a bare integer, in every
+        GF(p^e), so that polynomials with such coefficients parse back;
+        any other element prints in parentheses in the generator a."""
+        if not any(self.coeffs[1:]):
             return str(self.coeffs[0])
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -266,7 +269,7 @@ class FieldElement:
             else:
                 head = "" if c == 1 else f"{c}*"
                 parts.append(f"{head}a" if i == 1 else f"{head}a^{i}")
-        return "(" + (" + ".join(parts) if parts else "0") + ")"
+        return "(" + " + ".join(parts) + ")"
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         if other.spec is not self.spec and other.spec != self.spec:

@@ -94,10 +94,3 @@ def cartier_volume(f: Polynomial) -> Polynomial:
             out[tuple((e + 1) // p - 1 for e in m)] = frobenius_root(c)
     return Polynomial(ctx, out, _clean=False)
 
-
-def cartier_volume_by_decomposition(f: Polynomial) -> Polynomial:
-    """Independent route to the same operator through the full decomposition;
-    kept as a cross-check oracle."""
-    p = f.ctx.field.p
-    top = (p - 1,) * f.ctx.nvars
-    return pth_root_decompose(f).part(top)

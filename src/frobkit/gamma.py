@@ -1,18 +1,18 @@
 """Gamma-sheaves: modules N = P^s/relations over R = P/I with a linear
 structural map gamma: N -> F*N recorded as an s x s matrix A of polynomials
 (gamma(e_j) = sum_i A_ij tensor e_i).  Provides iteration and nilpotence of
-gamma, the dualizing twist to and from Cartier modules, the Frobenius twist of
-a root, and the stable dimension of the unit module generated by a root.
+gamma, the dualizing twist to and from Cartier modules, and the stable
+dimension of the unit module generated by a root.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict)
-from .frobenius import cartier_volume
+from .frobenius import cartier_volume, residue_exponents
 from .polyring import (FreeVector, GroebnerBasis, Polynomial,
                        QuotientContext, RankMismatchError, RingContext,
                        buchberger, is_regular_sequence, module_buchberger,
@@ -110,6 +110,10 @@ def _iterates(n: GammaSheaf):
 
 
 def gamma_iterate(n: GammaSheaf, e: int) -> GammaIterate:
+    """The e-fold composite alone.  The library reads the composites from
+    _iterates as it goes; this entry point stays because perfbench/tracing.py
+    times it as ``gamma.iterate`` and tests/test_kernel_chain.py checks the
+    chain against it."""
     if e < 1:
         raise ValueError("level must be >= 1")
     return next(islice(_iterates(n), e - 1, None))
@@ -202,7 +206,7 @@ def twist_to_cartier(n: GammaSheaf, seq=()) -> CartierModule:
     table: dict = {}
     for j in range(n.rank):
         scaled = [factor * n.matrix[i][j] for i in range(n.rank)]
-        for a in product(range(p), repeat=ring.nvars):
+        for a in residue_exponents(ring):
             xa = Polynomial.monomial(ring, a)
             v = FreeVector(ring, (cartier_volume(g * xa) for g in scaled))
             if v:
@@ -231,13 +235,6 @@ def twist_to_gamma(m: CartierModule) -> GammaSheaf:
                 rows[i][j] = rows[i][j] + comp.frobenius_twist().term_mul(
                     shift, one)
     return GammaSheaf.create(m.ctx, m.rank, rows, m.relations.generators)
-
-
-def frobenius_twist_root(n: GammaSheaf) -> GammaSheaf:
-    """(F*N, F*gamma): twist the relations and the matrix entrywise by [p]."""
-    rels = [_twist_vector(g, 1) for g in n.relations.generators]
-    mat = [[x.frobenius_twist() for x in row] for row in n.matrix]
-    return GammaSheaf.create(n.ctx, n.rank, mat, rels)
 
 
 def gen_stable_dimension(n: GammaSheaf) -> int:

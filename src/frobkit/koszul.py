@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .cartier import CartierModule, kappa_apply, volume_cartier_module
+from .frobenius import residue_exponents
 from .gamma import GammaSheaf, twist_to_cartier
 from .polyring import (FreeVector, Polynomial, QuotientContext, RingContext,
                        buchberger, is_regular_sequence, module_buchberger,
@@ -52,7 +52,7 @@ def cartier_pullback(m: CartierModule, im: ClosedImmersion) -> CartierModule:
     table: dict = {}
     for j in range(m.rank):
         base = FreeVector.unit(ring, m.rank, j, factor)
-        for a in product(range(p), repeat=ring.nvars):
+        for a in residue_exponents(ring):
             v = kappa_apply(m, base.term_mul(a, ring.field.one()))
             if v:
                 table[(j, a)] = v

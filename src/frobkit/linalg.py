@@ -21,6 +21,8 @@ def identity(spec: FieldSpec, d: int) -> list[list[FieldElement]]:
 def mat_mul(a: list[list[FieldElement]],
             b: list[list[FieldElement]]) -> list[list[FieldElement]]:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    if not rows or not cols:
+        return [[] for _ in range(rows)]  # no entry, so no field to read
     spec = a[0][0].spec
     out = zeros(spec, rows, cols)
     for i in range(rows):
@@ -71,32 +73,6 @@ def rref(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def reduce_against(rows_rref, pivots, v: list[FieldElement]) -> list[FieldElement]:
-    """Residue of v modulo the row space (rows must be in rref)."""
-    v = list(v)
-    for row, c in zip(rows_rref, pivots):
-        if v[c]:
-            f = v[c]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
-
-
-def solve(a: list[list[FieldElement]], b: list[FieldElement]):
-    """One solution x of A x = b, or None when inconsistent."""
-    if not a:
-        return [] if not any(b) else None
-    spec = b[0].spec if b else a[0][0].spec
-    ncols = len(a[0])
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [spec.zero()] * ncols
-    for row, c in zip(red, pivots):
-        x[c] = row[-1]
-    return x
 
 
 def nullspace(a: list[list[FieldElement]], spec: FieldSpec) -> list[list[FieldElement]]:

@@ -137,30 +137,6 @@ def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
     return SolutionSpace(len(basis), basis)
 
 
-def brute_force_solutions(root: GammaSheaf, pt: RationalPoint) -> list[tuple]:
-    """Oracle: try every w in (point field)^s against the defining equation."""
-    spec = pt.spec
-    s = root.rank
-    p = spec.p
-    if spec.size ** s > current_limits().guard:
-        raise GuardExceededError("solution enumeration exceeds the guard")
-    a_at = _check_fiber(root, pt)
-    out = []
-    for w in product(list(spec.elements()), repeat=s):
-        ok = True
-        for j in range(s):
-            rhs = spec.zero()
-            for i in range(s):
-                if a_at[i][j]:
-                    rhs = rhs + a_at[i][j] * w[i] ** p
-            if w[j] != rhs:
-                ok = False
-                break
-        if ok:
-            out.append(w)
-    return out
-
-
 def artin_schreier_kernel(q: int) -> int:
     """F_p-dimension of {a in GF(q) : a^p = a}; the fixed set is the prime
     field, so the answer is 1 for every prime power q."""

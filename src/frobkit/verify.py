@@ -2,7 +2,10 @@
 small instances of every layer (decomposition, semilinearity, twists, Koszul
 pullbacks, nilpotence tiers, solution spaces, Hom dimensions).  Used by the
 command line front end; the test suite runs larger versions of the same
-properties."""
+properties.  The independent second routes the checks compare against (the
+dual-basis twist, the dense nilpotence tier, the brute-force solver, the
+decomposition volume operator and the Frobenius twist of a root) are
+defined here and nowhere in the library."""
 from __future__ import annotations
 
 import math
@@ -10,20 +13,22 @@ import random
 from itertools import product
 
 from . import linalg
-from .cartier import (CartierModule, SemilinearEndo,
+from .cartier import (CartierModule, InfiniteDimensionalError,
+                      NilpotenceVerdict, SemilinearEndo,
                       cartier_structure_violations, hom_commuting,
                       is_nilpotent, kappa_apply, nil_isomorphism_test,
-                      semilinear_nilpotent, to_semilinear,
-                      volume_cartier_module)
+                      semilinear_image_chain, volume_cartier_module)
 from .field import FieldSpec
-from .frobenius import (cartier_volume, cartier_volume_by_decomposition,
-                        pth_root_decompose, residue_exponents)
-from .gamma import GammaSheaf, twist_to_cartier, twist_to_gamma
+from .frobenius import cartier_volume, pth_root_decompose, residue_exponents
+from .gamma import (GammaSheaf, _twist_vector, twist_to_cartier,
+                    twist_to_gamma)
 from .koszul import (ClosedImmersion, check_pullback_twist_commutes,
                      transition_factor)
-from .polyring import FreeVector, Polynomial, QuotientContext, RingContext
-from .solutions import (artin_schreier_kernel, brute_force_solutions,
-                        enumerate_points, solutions_at_point)
+from .polyring import (FreeVector, Polynomial, QuotientContext, RingContext,
+                       current_limits, module_staircase)
+from .solutions import (GuardExceededError, RationalPoint, _check_fiber,
+                        artin_schreier_kernel, enumerate_points,
+                        solutions_at_point)
 
 
 def random_polynomial(rng: random.Random, ctx: RingContext, max_deg: int = 3,
@@ -68,6 +73,87 @@ def dual_basis_twist(n: GammaSheaf, seq=()) -> CartierModule:
             table[(j, a)] = FreeVector(ring, (dec.part(slot)
                                               for dec in decomposed))
     return CartierModule.create(n.ctx, n.rank, n.relations.generators, table)
+
+
+class InvalidStructureError(ValueError):
+    """A kappa table is inconsistent with the module relations."""
+
+
+def to_semilinear(m: CartierModule) -> SemilinearEndo:
+    """Oracle tier of the nilpotence test: the matrix of kappa on the
+    monomial staircase basis of P^s / relations.  Requires a finite
+    staircase."""
+    st = module_staircase(m.relations, m.rank)
+    if st is None:
+        raise InfiniteDimensionalError("quotient module is not a finite "
+                                       "dimensional k-space")
+    spec = m.ring.field
+    index = {bm: t for t, bm in enumerate(st)}
+    d = len(st)
+    cols = []
+    for (j, b) in st:
+        image = kappa_apply(m, FreeVector.unit(m.ring, m.rank, j,
+                                               Polynomial.monomial(m.ring, b)))
+        col = [spec.zero()] * d
+        for pos, comp in enumerate(image.comps):
+            for mono, c in comp.terms.items():
+                t = index.get((pos, mono))
+                if t is None:
+                    raise InvalidStructureError("normal form escaped the "
+                                                "staircase")
+                col[t] = col[t] + c
+        cols.append(col)
+    matrix = tuple(tuple(cols[t][r] for t in range(d)) for r in range(d))
+    return SemilinearEndo(d, matrix, spec)
+
+
+def semilinear_nilpotent(t: SemilinearEndo) -> NilpotenceVerdict:
+    """Dense nilpotence of T on k^d: nilpotent iff its image chain ends in
+    zero, with index the number of strict descents to get there."""
+    chain = semilinear_image_chain(t)
+    if chain[-1]:
+        return NilpotenceVerdict.not_nilpotent()
+    return NilpotenceVerdict.nilpotent(len(chain) - 1)
+
+
+def brute_force_solutions(root: GammaSheaf, pt: RationalPoint) -> list[tuple]:
+    """Oracle for solutions_at_point: try every w in (point field)^s against
+    the defining equation."""
+    spec = pt.spec
+    s = root.rank
+    p = spec.p
+    if spec.size ** s > current_limits().guard:
+        raise GuardExceededError("solution enumeration exceeds the guard")
+    a_at = _check_fiber(root, pt)
+    out = []
+    for w in product(list(spec.elements()), repeat=s):
+        ok = True
+        for j in range(s):
+            rhs = spec.zero()
+            for i in range(s):
+                if a_at[i][j]:
+                    rhs = rhs + a_at[i][j] * w[i] ** p
+            if w[j] != rhs:
+                ok = False
+                break
+        if ok:
+            out.append(w)
+    return out
+
+
+def cartier_volume_by_decomposition(f: Polynomial) -> Polynomial:
+    """Oracle for cartier_volume through the full decomposition: the
+    (p-1,...,p-1) part."""
+    p = f.ctx.field.p
+    top = (p - 1,) * f.ctx.nvars
+    return pth_root_decompose(f).part(top)
+
+
+def frobenius_twist_root(n: GammaSheaf) -> GammaSheaf:
+    """(F*N, F*gamma): twist the relations and the matrix entrywise by [p]."""
+    rels = [_twist_vector(g, 1) for g in n.relations.generators]
+    mat = [[x.frobenius_twist() for x in row] for row in n.matrix]
+    return GammaSheaf.create(n.ctx, n.rank, mat, rels)
 
 
 def _ambient(p: int, vars=("x",), e: int = 1, modulus=()) -> QuotientContext:

@@ -8,21 +8,24 @@ from itertools import product
 
 from frobkit.cartier import (CartierModule, SemilinearEndo,
                              cartier_structure_violations, hom_commuting,
-                             is_nilpotent, kappa_apply, semilinear_nilpotent,
-                             to_semilinear, volume_cartier_module)
+                             is_nilpotent, kappa_apply, volume_cartier_module)
 from frobkit.field import FieldSpec
-from frobkit.frobenius import (cartier_volume, cartier_volume_by_decomposition)
-from frobkit.gamma import (GammaSheaf, frobenius_twist_root,
-                           gamma_is_nilpotent, gen_stable_dimension,
-                           twist_to_cartier, twist_to_gamma)
+from frobkit.frobenius import cartier_volume
+from frobkit.gamma import (GammaSheaf, gamma_is_nilpotent,
+                           gen_stable_dimension, twist_to_cartier,
+                           twist_to_gamma)
 from frobkit.koszul import (ClosedImmersion, cartier_pullback,
                             check_pullback_twist_commutes, transition_factor)
 from frobkit.linalg import mat_frobenius_root, mat_mul
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
                               RingContext)
-from frobkit.solutions import (artin_schreier_kernel, brute_force_solutions,
-                               enumerate_points, solutions_at_point)
-from frobkit.verify import dual_basis_twist, random_gamma, random_polynomial
+from frobkit.solutions import (artin_schreier_kernel, enumerate_points,
+                               solutions_at_point)
+from frobkit.verify import (brute_force_solutions,
+                            cartier_volume_by_decomposition, dual_basis_twist,
+                            frobenius_twist_root, random_gamma,
+                            random_polynomial, semilinear_nilpotent,
+                            to_semilinear)
 
 
 @contextmanager

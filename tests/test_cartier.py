@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobkit import linalg
 from frobkit.cartier import (CartierModule, InfiniteDimensionalError,
@@ -9,13 +11,13 @@ from frobkit.cartier import (CartierModule, InfiniteDimensionalError,
                              hom_commuting, is_crystal_supported_on,
                              is_nilpotent, kappa_apply, kappa_lift,
                              nil_isomorphism_test, restrict_to_principal_open,
-                             semilinear_nilpotent, stable_image,
-                             to_semilinear, volume_cartier_module)
+                             stable_image, volume_cartier_module)
 from frobkit.field import FieldSpec
 from frobkit.gamma import twist_to_cartier
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
                               RingContext, normal_form, submodule_equal)
-from frobkit.verify import random_gamma, random_polynomial
+from frobkit.verify import (random_gamma, random_polynomial,
+                            semilinear_nilpotent, to_semilinear)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -263,6 +265,23 @@ def test_nil_isomorphism():
     upper = SemilinearEndo(2, ((F2.zero(), F2.one()),
                                (F2.zero(), F2.zero())), F2)
     assert nil_isomorphism_test(zero_map, upper, upper)
+    # a zero-dimensional side: 0 -> nilpotent is a nil-isomorphism (its
+    # cokernel is nilpotent), 0 -> identity is not, and the same backwards
+    empty = SemilinearEndo(0, (), F2)
+    nil1 = SemilinearEndo(1, ((F2.zero(),),), F2)
+    one1 = SemilinearEndo(1, ((F2.one(),),), F2)
+    assert nil_isomorphism_test([[]], empty, nil1)
+    assert not nil_isomorphism_test([[]], empty, one1)
+    assert nil_isomorphism_test([], nil1, empty)
+    assert not nil_isomorphism_test([], one1, empty)
+    assert nil_isomorphism_test([], empty, empty)
+    # phi must be dN x dM
+    for phi, m, n in (([], empty, nil1), ([[]], nil1, empty),
+                      ([[F2.one()]], empty, empty),
+                      ([[F2.one()]], ident, ident),
+                      ([[F2.one(), F2.zero()], [F2.zero()]], ident, ident)):
+        with pytest.raises(ValueError, match="map must be a"):
+            nil_isomorphism_test(phi, m, n)
 
 
 def test_nil_isomorphism_requires_commuting():
@@ -273,3 +292,65 @@ def test_nil_isomorphism_requires_commuting():
     phi = ((F2.one(), F2.zero()), (F2.zero(), F2.one()))
     with pytest.raises(ValueError):
         nil_isomorphism_test(phi, ident, upper)
+
+
+FIELDS = (F2, F3, FieldSpec(2, 2, (1, 1, 1)))
+
+
+@st.composite
+def commuting_triples(draw):
+    """(phi, T_M, T_N) over GF(2), GF(3) or GF(4) in dimensions 0-3, with
+    phi a random F_p-combination of the hom_commuting basis.  Entries lean
+    to zero and N is often M itself, so that nilpotent operators and
+    nonzero maps both occur."""
+    spec = draw(st.sampled_from(FIELDS))
+    els = list(spec.elements())
+    entry = st.one_of(st.just(spec.zero()), st.sampled_from(els))
+
+    def endo(d):
+        rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                             min_size=d, max_size=d))
+        return SemilinearEndo(d, tuple(map(tuple, rows)), spec)
+
+    m = endo(draw(st.integers(0, 3)))
+    n = m if draw(st.booleans()) else endo(draw(st.integers(0, 3)))
+    basis = hom_commuting(m, n)
+    picks = draw(st.lists(st.integers(0, spec.p - 1), min_size=len(basis),
+                          max_size=len(basis)))
+    phi = [[sum((spec.from_int(c) * b[r][s] for c, b in zip(picks, basis)),
+                spec.zero()) for s in range(m.dim)] for r in range(n.dim)]
+    return phi, m, n
+
+
+def nil_isomorphism_by_definition(phi, m, n) -> bool:
+    """Enumerate k^dM and k^dN: T_M^dM kills every v with phi v = 0, and
+    T_N^dN maps every w into the image of phi."""
+    spec = m.spec
+
+    def power(t, v):
+        for _ in range(t.dim):
+            v = t.apply(v)
+        return v
+
+    def vectors(d):
+        return (list(v) for v in product(list(spec.elements()), repeat=d))
+
+    def apply_phi(v):
+        return [sum((a * b for a, b in zip(row, v)), spec.zero())
+                for row in phi]
+
+    zero_n = [spec.zero()] * n.dim
+    image = {tuple(apply_phi(u)) for u in vectors(m.dim)}
+    kernel_nilpotent = all(not any(power(m, v)) for v in vectors(m.dim)
+                           if apply_phi(v) == zero_n)
+    cokernel_nilpotent = all(tuple(power(n, w)) in image
+                             for w in vectors(n.dim))
+    return kernel_nilpotent and cokernel_nilpotent
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(commuting_triples())
+def test_nil_isomorphism_matches_the_definition(triple):
+    phi, m, n = triple
+    assert nil_isomorphism_test(phi, m, n) == \
+        nil_isomorphism_by_definition(phi, m, n)

@@ -5,13 +5,13 @@ import pytest
 from frobkit.cartier import (InfiniteDimensionalError, is_nilpotent,
                              kappa_apply, volume_cartier_module)
 from frobkit.field import FieldSpec
-from frobkit.gamma import (GammaSheaf, frobenius_twist_root,
-                           gamma_is_nilpotent, gamma_iterate,
+from frobkit.gamma import (GammaSheaf, gamma_is_nilpotent, gamma_iterate,
                            gamma_structure_violations, gen_stable_dimension,
                            twist_to_cartier, twist_to_gamma)
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
                               RingContext)
-from frobkit.verify import dual_basis_twist, random_gamma
+from frobkit.verify import (dual_basis_twist, frobenius_twist_root,
+                            random_gamma)
 
 
 def ambient(p, *names):

@@ -51,10 +51,13 @@ def test_ring_arithmetic(ring3):
 
 
 def test_parse_format_round_trip(ring3):
+    # GF(3), and GF(4) with coefficients in its prime subfield GF(2)
+    gf4 = RingContext(FieldSpec(2, 2, (1, 1, 1)), ("x", "y"))
     rng = random.Random(2)
-    for _ in range(40):
-        f = rand_poly(rng, ring3)
-        assert parse_polynomial(ring3, format_polynomial(f)) == f
+    for ring in (ring3, gf4):
+        for _ in range(40):
+            f = rand_poly(rng, ring)
+            assert parse_polynomial(ring, format_polynomial(f)) == f
 
 
 @pytest.mark.parametrize("text,expected_terms", [

@@ -324,6 +324,28 @@ def test_serialize_round_trip():
     assert serialize_gamma(n)["matrix"] == [["1"]]
 
 
+def test_printed_module_over_gf4_loads_back():
+    # coefficients in the prime subfield print as bare integers, so the
+    # twist of a GF(4) gamma-sheaf loads back as a module object: the table
+    # once printed as (1)*x + (1), which the grammar refuses
+    gf4 = {"p": 2, "e": 2, "modulus": [1, 1, 1]}
+    objects = {"N": {"gamma": {"rank": 1, "matrix": [["x^3 + x^2 + 1"]]}}}
+    first = run_session(base_session(field=gf4, objects=objects, commands=[
+        {"op": "twist-to-cartier", "target": "N", "store": "M"},
+        {"op": "nilpotent", "target": "M"}]))
+    printed = first[0]["result"]["module"]
+    assert printed["kappa"] == {"0,0": "x", "0,1": "x + 1"}
+    second = run_session(base_session(
+        field=gf4, objects={"M": {"module": printed}},
+        commands=[{"op": "nilpotent", "target": "M"}]))
+    assert second[0]["status"] == "ok"
+    assert second[0]["result"] == first[1]["result"]
+    # the grammar still has no way to write a coefficient outside GF(2)
+    with pytest.raises(SessionError, match=r"object 'M': bad factor '\(a\)'"):
+        Session(base_session(field=gf4, objects={
+            "M": {"module": {"rank": 1, "kappa": {"0,1": "(a)*x"}}}}))
+
+
 def test_verify_suite_op():
     reports = run_ok([{"op": "verify-suite", "quick": True, "seed": 3}])
     res = reports[0]["result"]

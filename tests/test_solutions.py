@@ -7,10 +7,10 @@ from frobkit.gamma import GammaSheaf, gamma_is_nilpotent
 from frobkit.polyring import (Limits, Polynomial, QuotientContext,
                               RingContext, use_limits)
 from frobkit.solutions import (FiberDegenerationError, GuardExceededError,
-                               artin_schreier_kernel, brute_force_solutions,
-                               enumerate_points, point_field,
-                               smallest_irreducible, solutions_at_point)
-from frobkit.verify import random_gamma
+                               artin_schreier_kernel, enumerate_points,
+                               point_field, smallest_irreducible,
+                               solutions_at_point)
+from frobkit.verify import brute_force_solutions, random_gamma
 
 
 def ambient(p, *names):
