@@ -283,7 +283,9 @@ class SemilinearEndo:
     spec: FieldSpec
 
     def apply(self, v: list[FieldElement]) -> list[FieldElement]:
-        return linalg.mat_vec(self.rows(), [frobenius_root(x) for x in v])
+        root = [frobenius_root(x) for x in v]
+        return [sum((u * r for u, r in zip(row, root)), self.spec.zero())
+                for row in self.matrix]
 
     def rows(self) -> list[list[FieldElement]]:
         return [list(r) for r in self.matrix]

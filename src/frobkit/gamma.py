@@ -6,17 +6,19 @@ dimension of the unit module generated by a root.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import TYPE_CHECKING, Optional
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict)
 from .frobenius import cartier_volume, residue_exponents
 from .polyring import (FreeVector, GroebnerBasis, Polynomial,
                        QuotientContext, RankMismatchError, RingContext,
-                       buchberger, is_regular_sequence, module_buchberger,
-                       module_staircase, normal_form, submodule_equal)
+                       module_buchberger, module_staircase, normal_form)
+
+if TYPE_CHECKING:  # koszul imports this module
+    from .koszul import ClosedImmersion
 
 
 class GammaSheaf:
@@ -179,30 +181,19 @@ def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16) -> NilpotenceVerdict:
 # ---------------------------------------------------------------------------
 # the dualizing twist
 
-def _check_sequence(ctx: QuotientContext, seq) -> None:
-    if ctx.is_ambient:
-        if seq:
-            raise ValueError("ambient context takes no sequence")
-        return
-    if not seq:
-        raise ValueError("quotient context needs a regular-sequence "
-                         "presentation of its ideal")
-    if not is_regular_sequence(list(seq), ctx.ring):
-        raise ValueError("sequence is not regular")
-    if not submodule_equal(buchberger(list(seq), ctx.ring),
-                           ctx.ideal_gb):
-        raise ValueError("sequence does not generate the quotient ideal")
-
-
-def twist_to_cartier(n: GammaSheaf, seq=()) -> CartierModule:
-    """The Cartier structure on N tensor omega.  Over the ambient ring the
-    table is kappa(x^a e_j) = sum_i cartier_volume(A_ij x^a) e_i; over a
-    quotient presented by a regular sequence f_1..f_c the Koszul dualizing
-    factor (f_1...f_c)^(p-1) multiplies in."""
-    _check_sequence(n.ctx, seq)
+def twist_to_cartier(n: GammaSheaf,
+                     im: Optional[ClosedImmersion] = None) -> CartierModule:
+    """The Cartier structure on N tensor omega.  Over the ambient ring (``im``
+    None) the table is kappa(x^a e_j) = sum_i cartier_volume(A_ij x^a) e_i;
+    over a quotient the immersion ``im`` presenting it supplies the Koszul
+    dualizing factor (f_1...f_c)^(p-1), which multiplies in."""
     ring = n.ring
-    p = ring.field.p
-    factor = math.prod(seq, start=Polynomial.one(ring)) ** (p - 1)
+    ideal = im.target.ideal_gb if im else GroebnerBasis(ring, 1, ())
+    # reduced bases are unique, so this one comparison refuses a quotient
+    # without an immersion, an immersion over P and one of another ideal
+    if ideal != n.ctx.ideal_gb:
+        raise ValueError("sequence does not generate the quotient ideal")
+    factor = im.dualizing_factor() if im else Polynomial.one(ring)
     table: dict = {}
     for j in range(n.rank):
         scaled = [factor * n.matrix[i][j] for i in range(n.rank)]

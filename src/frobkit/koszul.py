@@ -12,13 +12,14 @@ from .frobenius import residue_exponents
 from .gamma import GammaSheaf, twist_to_cartier
 from .polyring import (FreeVector, Polynomial, QuotientContext, RingContext,
                        buchberger, is_regular_sequence, module_buchberger,
-                       normal_form, submodule_equal)
+                       normal_form)
 
 
 @dataclass(frozen=True)
 class ClosedImmersion:
-    """V(f_1..f_c) -> Spec P for a regular sequence; ``target`` is the
-    quotient context for the ideal the sequence generates."""
+    """V(f_1..f_c) -> Spec P for a regular sequence, proven regular once, by
+    ``create``; ``target`` is the quotient context for the ideal it
+    generates."""
 
     ambient: RingContext
     seq: tuple[Polynomial, ...]
@@ -32,12 +33,10 @@ class ClosedImmersion:
         target = QuotientContext.from_generators(ambient, seq)
         return cls(ambient, seq, target)
 
-    @property
-    def codim(self) -> int:
-        return len(self.seq)
-
-    def product(self) -> Polynomial:
-        return math.prod(self.seq, start=Polynomial.one(self.ambient))
+    def dualizing_factor(self) -> Polynomial:
+        """The Koszul dualizing factor (f_1...f_c)^(p-1)."""
+        one = Polynomial.one(self.ambient)
+        return math.prod(self.seq, start=one) ** (self.ambient.field.p - 1)
 
 
 def cartier_pullback(m: CartierModule, im: ClosedImmersion) -> CartierModule:
@@ -47,8 +46,7 @@ def cartier_pullback(m: CartierModule, im: ClosedImmersion) -> CartierModule:
     if m.ring != im.ambient:
         raise ValueError("module and immersion live over different rings")
     ring = m.ring
-    p = ring.field.p
-    factor = im.product() ** (p - 1)
+    factor = im.dualizing_factor()
     table: dict = {}
     for j in range(m.rank):
         base = FreeVector.unit(ring, m.rank, j, factor)
@@ -61,9 +59,8 @@ def cartier_pullback(m: CartierModule, im: ClosedImmersion) -> CartierModule:
     if m.ctx.is_ambient:
         target = im.target
     else:
-        combined = [g.comps[0] for g in m.ctx.ideal_gb.generators]
-        combined.extend(im.seq)
-        target = QuotientContext.from_generators(ring, combined)
+        target = QuotientContext.from_generators(
+            ring, m.ctx.ideal_gb.polys + list(im.seq))
     return CartierModule.create(target, m.rank, m.relations.generators,
                                 table)
 
@@ -113,19 +110,15 @@ def _det(mat: list[list[Polynomial]], ctx: RingContext) -> Polynomial:
     return acc
 
 
-def transition_factor(f_seq, g_seq, ctx: RingContext) -> TransitionMatrix:
-    """A matrix C with g_i = sum_j C[i][j] f_j and its determinant mod the
-    common ideal.  C is chosen deterministically but is not unique; f must
-    be a regular sequence, which makes det(C) mod I independent of the
+def transition_factor(im: ClosedImmersion, g_seq) -> TransitionMatrix:
+    """A matrix C with g_i = sum_j C[i][j] f_j for the sequence f of ``im``
+    and its determinant mod I = (f).  C is chosen deterministically but is
+    not unique; f is regular, which makes det(C) mod I independent of the
     choice."""
-    f_seq, g_seq = list(f_seq), list(g_seq)
+    f_seq, g_seq, ctx = im.seq, list(g_seq), im.ambient
     if len(f_seq) != len(g_seq):
         raise ValueError("sequences have different lengths")
-    if not is_regular_sequence(f_seq, ctx):
-        raise ValueError("sequence is not regular")
-    fgb = buchberger(f_seq, ctx)
-    ggb = buchberger(g_seq, ctx)
-    if not submodule_equal(fgb, ggb):
+    if buchberger(g_seq, ctx) != im.target.ideal_gb:
         raise ValueError("sequences generate different ideals")
     # every element (h | c) of the module generated by the (f_j | e_j)
     # satisfies h = sum_j c_j f_j, so (g | 0) reduces to (0 | -row)
@@ -147,7 +140,7 @@ def transition_factor(f_seq, g_seq, ctx: RingContext) -> TransitionMatrix:
             acc = acc + c * f
         if acc != g:
             raise AssertionError("transition identity failed")
-    det = normal_form(_det(rows, ctx), fgb)
+    det = im.target.nf(_det(rows, ctx))
     return TransitionMatrix(tuple(tuple(r) for r in rows), det)
 
 
@@ -168,7 +161,7 @@ def check_pullback_twist_commutes(n: GammaSheaf, im: ClosedImmersion
     volume-form normalization used throughout, the canonical isomorphism is
     the identity, so the tables must agree entrywise."""
     route_a = cartier_pullback(twist_to_cartier(n), im)
-    route_b = twist_to_cartier(gamma_pullback(n, im), seq=im.seq)
+    route_b = twist_to_cartier(gamma_pullback(n, im), im)
     keys = set(route_a.kappa_table) | set(route_b.kappa_table)
     bad = []
     for key in sorted(keys):

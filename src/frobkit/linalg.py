@@ -39,11 +39,6 @@ def mat_mul(a: list[list[FieldElement]],
     return out
 
 
-def mat_vec(a: list[list[FieldElement]],
-            v: list[FieldElement]) -> list[FieldElement]:
-    return [c[0] for c in mat_mul(a, [[x] for x in v])]
-
-
 def mat_frobenius_root(a) -> list[list[FieldElement]]:
     """Entrywise unique p-th root."""
     return [[frobenius_root(x) for x in row] for row in a]

@@ -403,7 +403,6 @@ class GroebnerBasis:
     ctx: RingContext
     rank: int
     generators: tuple[FreeVector, ...]
-    reduced: bool = True
 
     @property
     def polys(self) -> list[Polynomial]:
@@ -629,11 +628,11 @@ def buchberger(polys: Iterable[Polynomial],
 
 
 def submodule_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    """True iff the two bases generate the same submodule."""
+    """True iff the two bases generate the same submodule: every basis is
+    reduced and sorted, and reduced bases are unique."""
     if a.ctx != b.ctx or a.rank != b.rank:
         raise RankMismatchError("bases live in different modules")
-    return (all(normal_form(g, b).is_zero() for g in a.generators)
-            and all(normal_form(g, a).is_zero() for g in b.generators))
+    return a.generators == b.generators
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,9 @@ class Session:
             raise SessionError("point coordinate count mismatch")
         return RationalPoint(m, spec, tuple(spec.element(c) for c in coords))
 
+    def _build_immersion(self, sequence: list) -> ClosedImmersion:
+        return ClosedImmersion.create(self.ring, self._polys(sequence))
+
     # -- command execution ----------------------------------------------------
     def run_command(self, cmd: dict) -> dict:
         """Run one command: its arguments bound under the op's schema, its
@@ -280,8 +283,7 @@ class Session:
 _BUILDERS = {
     "module": Session._build_module,
     "gamma": Session._build_gamma,
-    "immersion": lambda s, sequence: ClosedImmersion.create(
-        s.ring, s._polys(sequence)),
+    "immersion": Session._build_immersion,
     "point": Session._build_point,
 }
 
@@ -316,7 +318,7 @@ def _h_pullback(s: Session, target, immersion: ClosedImmersion):
 
 
 def _h_transition(s: Session, f: list, g: list) -> dict:
-    tr = transition_factor(s._polys(f), s._polys(g), s.ring)
+    tr = transition_factor(s._build_immersion(f), s._polys(g))
     return {"det": format_polynomial(tr.det),
             "matrix": [[format_polynomial(e) for e in row]
                        for row in tr.matrix]}
@@ -361,8 +363,9 @@ _HANDLERS = {
     "crystal-zero": lambda s, target: is_nilpotent(target).to_json(),
     "supported-on": lambda s, target, ideal: {
         "supported": is_crystal_supported_on(target, s._polys(ideal))},
+    # an empty sequence presents the ambient ring
     "twist-to-cartier": lambda s, target, sequence: twist_to_cartier(
-        target, s._polys(sequence)),
+        target, s._build_immersion(sequence) if sequence else None),
     "twist-to-gamma": lambda s, target: twist_to_gamma(target),
     "pullback": _h_pullback,
     "dualizing": lambda s, immersion: dualizing_module(immersion),

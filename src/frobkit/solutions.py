@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .field import FieldElement, FieldSpec, _is_irreducible, _is_prime
+from .field import FieldElement, FieldSpec, _is_irreducible
 from .gamma import GammaSheaf
 from .linalg import prime_field_kernel
 from .polyring import QuotientContext, current_limits
@@ -144,9 +144,7 @@ def artin_schreier_kernel(q: int) -> int:
         raise ValueError(f"{q} is not a prime power")
     if q > current_limits().guard:
         raise GuardExceededError(f"field of size {q} exceeds the guard")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    if not _is_prime(p):
-        raise ValueError(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least is prime
     m = 0
     t = q
     while t > 1:

@@ -219,13 +219,13 @@ def check_dual_vs_projection(rng: random.Random, quick: bool):
         for ideal_pow in (0, 2):
             ring = RingContext(FieldSpec(p), ("x",))
             x = Polynomial.variable(ring, "x")
-            seq = [] if ideal_pow == 0 else [x ** ideal_pow]
-            ctx = (QuotientContext.trivial(ring) if not seq
-                   else QuotientContext.from_generators(ring, seq))
+            im = (ClosedImmersion.create(ring, [x ** ideal_pow])
+                  if ideal_pow else None)
+            ctx = im.target if im else QuotientContext.trivial(ring)
             for _ in range(count):
                 n = random_gamma(rng, ctx, rng.choice((1, 2)), max_deg=2)
-                a = twist_to_cartier(n, seq)
-                b = dual_basis_twist(n, seq)
+                a = twist_to_cartier(n, im)
+                b = dual_basis_twist(n, im.seq if im else ())
                 if a.kappa_table != b.kappa_table:
                     return False, f"routes disagree at p={p}"
     return True, f"{4 * count} table comparisons"
@@ -237,7 +237,8 @@ def check_koszul_commutation(rng: random.Random, quick: bool):
         ctx = _ambient(p, ("x", "y"))
         x = Polynomial.variable(ctx.ring, "x")
         y = Polynomial.variable(ctx.ring, "y")
-        tr = transition_factor([x, y], [y, x], ctx.ring)
+        tr = transition_factor(ClosedImmersion.create(ctx.ring, [x, y]),
+                               [y, x])
         if tr.det != Polynomial.constant(ctx.ring, -1):
             return False, f"swap determinant wrong at p={p}"
         for seq in ([x], [y], [x, y]):
@@ -257,10 +258,11 @@ def check_nilpotence_tiers(rng: random.Random, quick: bool):
         ring = RingContext(FieldSpec(p), ("x",))
         x = Polynomial.variable(ring, "x")
         for k in (1, 2):
-            ctx = QuotientContext.from_generators(ring, [x ** k])
+            im = ClosedImmersion.create(ring, [x ** k])
             for _ in range(count):
-                n = random_gamma(rng, ctx, rng.choice((1, 2)), max_deg=k - 1)
-                m = twist_to_cartier(n, [x ** k])
+                n = random_gamma(rng, im.target, rng.choice((1, 2)),
+                                 max_deg=k - 1)
+                m = twist_to_cartier(n, im)
                 if cartier_structure_violations(m):
                     return False, "pullback failed validation"
                 chain = is_nilpotent(m)

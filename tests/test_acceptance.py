@@ -144,9 +144,9 @@ def test_criterion_05_koszul_pullback(capsys):
             ring = RingContext(FieldSpec(p), ("x", "y"))
             x = Polynomial.variable(ring, "x")
             y = Polynomial.variable(ring, "y")
-            tr = transition_factor([x, y], [y, x], ring)
-            assert tr.det == Polynomial.constant(ring, -1)
             im_f = ClosedImmersion.create(ring, [x, y])
+            tr = transition_factor(im_f, [y, x])
+            assert tr.det == Polynomial.constant(ring, -1)
             im_g = ClosedImmersion.create(ring, [y, x])
             vol = volume_cartier_module(ring)
             mf = cartier_pullback(vol, im_f)
@@ -179,10 +179,11 @@ def test_criterion_06_nilpotence_oracle_equivalence(capsys):
         for p in (2, 3):
             for power in (1, 2):
                 ctx, x = fat_point(p, power)
+                im = ClosedImmersion.create(ctx.ring, [x ** power])
                 for _ in range(13):
                     s = rng.choice((1, 2))
                     n = random_gamma(rng, ctx, s, max_deg=power - 1)
-                    m = twist_to_cartier(n, [x ** power])
+                    m = twist_to_cartier(n, im)
                     chain = is_nilpotent(m)
                     dense = semilinear_nilpotent(to_semilinear(m))
                     assert chain.conclusive and dense.conclusive

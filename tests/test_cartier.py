@@ -11,9 +11,11 @@ from frobkit.cartier import (CartierModule, InfiniteDimensionalError,
                              hom_commuting, is_crystal_supported_on,
                              is_nilpotent, kappa_apply, kappa_lift,
                              nil_isomorphism_test, restrict_to_principal_open,
-                             stable_image, volume_cartier_module)
-from frobkit.field import FieldSpec
+                             semilinear_image_chain, stable_image,
+                             volume_cartier_module)
+from frobkit.field import FieldSpec, frobenius_root
 from frobkit.gamma import twist_to_cartier
+from frobkit.koszul import ClosedImmersion
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
                               RingContext, normal_form, submodule_equal)
 from frobkit.verify import (random_gamma, random_polynomial,
@@ -86,10 +88,10 @@ def test_kappa_lift_respects_relations_when_valid():
     rng = random.Random(9)
     r = ring(2, "x")
     x = Polynomial.variable(r, "x")
-    ctx = QuotientContext.from_generators(r, [x ** 2])
+    im = ClosedImmersion.create(r, [x ** 2])
     for _ in range(10):
-        n = random_gamma(rng, ctx, 2, max_deg=1)
-        m = twist_to_cartier(n, [x ** 2])
+        n = random_gamma(rng, im.target, 2, max_deg=1)
+        m = twist_to_cartier(n, im)
         assert not cartier_structure_violations(m)
         for rho in m.relations.generators:
             assert m.nf(kappa_lift(m, rho)).is_zero()
@@ -99,10 +101,10 @@ def test_stable_image_chain_descends():
     rng = random.Random(13)
     r = ring(2, "x")
     x = Polynomial.variable(r, "x")
-    ctx = QuotientContext.from_generators(r, [x ** 3])
+    im = ClosedImmersion.create(r, [x ** 3])
     for _ in range(8):
-        n = random_gamma(rng, ctx, 1, max_deg=2)
-        m = twist_to_cartier(n, [x ** 3])
+        n = random_gamma(rng, im.target, 1, max_deg=2)
+        m = twist_to_cartier(n, im)
         res = stable_image(m)
         for upper, lower in zip(res.chain, res.chain[1:]):
             for g in lower.generators:
@@ -197,13 +199,29 @@ def test_tier_agreement_random():
         r = ring(p, "x")
         x = Polynomial.variable(r, "x")
         for k in (1, 2):
-            ctx = QuotientContext.from_generators(r, [x ** k])
+            im = ClosedImmersion.create(r, [x ** k])
             for _ in range(8):
-                n = random_gamma(rng, ctx, rng.choice((1, 2)), max_deg=k - 1)
-                m = twist_to_cartier(n, [x ** k])
+                n = random_gamma(rng, im.target, rng.choice((1, 2)),
+                                 max_deg=k - 1)
+                m = twist_to_cartier(n, im)
                 a = is_nilpotent(m)
                 b = semilinear_nilpotent(to_semilinear(m))
                 assert a.is_nilpotent == b.is_nilpotent
+
+
+def test_semilinear_apply_on_every_shape():
+    # d = 0: the empty vector is the whole space and its own image
+    empty = SemilinearEndo(0, (), F2)
+    assert empty.apply([]) == []
+    assert semilinear_image_chain(empty) == [[]]
+    # 2 x 2 over GF(4), where the p-th root moves elements: T(v) = U v^(1/2)
+    f4 = FieldSpec(2, 2, (1, 1, 1))
+    t = f4.element((0, 1))
+    u = ((t, f4.one()), (f4.zero(), t * t))
+    v = [t, t + f4.one()]
+    column = linalg.mat_mul([list(r) for r in u],
+                            [[frobenius_root(x)] for x in v])
+    assert SemilinearEndo(2, u, f4).apply(v) == [c[0] for c in column]
 
 
 def test_hom_commuting_dimensions():

@@ -8,6 +8,7 @@ from frobkit.field import FieldSpec
 from frobkit.gamma import (GammaSheaf, gamma_is_nilpotent, gamma_iterate,
                            gamma_structure_violations, gen_stable_dimension,
                            twist_to_cartier, twist_to_gamma)
+from frobkit.koszul import ClosedImmersion
 from frobkit.polyring import (FreeVector, Polynomial, QuotientContext,
                               RingContext)
 from frobkit.verify import (dual_basis_twist, frobenius_twist_root,
@@ -123,9 +124,10 @@ def test_twist_methods_agree():
     rng = random.Random(55)
     for p in (2, 3):
         ctx, x = quotient(p, 2)
+        im = ClosedImmersion.create(ctx.ring, [x ** 2])
         for _ in range(6):
             n = random_gamma(rng, ctx, 2, max_deg=1)
-            a = twist_to_cartier(n, [x ** 2])
+            a = twist_to_cartier(n, im)
             b = dual_basis_twist(n, [x ** 2])
             assert a.kappa_table == b.kappa_table
 
@@ -136,17 +138,19 @@ def test_twist_sequence_checks():
     with pytest.raises(ValueError):
         twist_to_cartier(n)  # missing sequence
     with pytest.raises(ValueError):
-        twist_to_cartier(n, [x])  # generates (x), not (x^2)
+        # generates (x), not (x^2)
+        twist_to_cartier(n, ClosedImmersion.create(ctx.ring, [x]))
 
 
 def test_nilpotence_matches_crystal_vanishing():
     rng = random.Random(6)
     for p in (2, 3):
         ctx, x = quotient(p, 2)
+        im = ClosedImmersion.create(ctx.ring, [x ** 2])
         for _ in range(6):
             n = random_gamma(rng, ctx, 1, max_deg=1)
             g = gamma_is_nilpotent(n)
-            c = is_nilpotent(twist_to_cartier(n, [x ** 2]))
+            c = is_nilpotent(twist_to_cartier(n, im))
             assert g.is_nilpotent == c.is_nilpotent
 
 

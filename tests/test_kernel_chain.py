@@ -3,6 +3,7 @@ checked against the full loop over e = 1, ..., d + 1 written out here."""
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,3 +177,19 @@ def test_non_free_nilpotence_index_past_dim():
     assert [r for _, r in _kernel_chain(n)] == [1, 0]
     verdict = gamma_is_nilpotent(n)
     assert verdict.is_nilpotent and verdict.index == 2
+
+
+@pytest.mark.xfail(strict=True, reason="the chain of a non-free N over a "
+                   "quotient that is not regular stops at e = d + 1 = 2, "
+                   "before the composite vanishes; a proven stopping rule "
+                   "is ROADMAP direction 3")
+def test_non_free_chain_stops_before_vanishing():
+    # over GF(2)[x]/(x^5), N = R/(x) with gamma = x (d = 1) has image
+    # dimensions 1, 1, 0: the composite x^7 vanishes at e = 3
+    ctx = fat_point(2, ("x",), 5)
+    x = Polynomial.variable(ctx.ring, "x")
+    n = GammaSheaf.create(ctx, 1, [[x]], [FreeVector.unit(ctx.ring, 1, 0, x)])
+    assert not gamma_structure_violations(n)
+    verdict = gamma_is_nilpotent(n)
+    assert verdict.is_nilpotent and verdict.index == 3
+    assert gen_stable_dimension(n) == 0

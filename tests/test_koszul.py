@@ -1,7 +1,12 @@
+import ast
+import importlib
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 
+import frobkit
 from frobkit.cartier import (CartierModule, cartier_structure_violations,
                              kappa_apply, volume_cartier_module)
 from frobkit.field import FieldSpec
@@ -99,11 +104,12 @@ def test_transition_factor_examples():
         r = ring(p, "x", "y")
         x = Polynomial.variable(r, "x")
         y = Polynomial.variable(r, "y")
-        swap = transition_factor([x, y], [y, x], r)
+        im = ClosedImmersion.create(r, [x, y])
+        swap = transition_factor(im, [y, x])
         assert swap.det == Polynomial.constant(r, -1)
-        same = transition_factor([x, y], [x, y], r)
+        same = transition_factor(im, [x, y])
         assert same.det == Polynomial.one(r)
-        shear = transition_factor([x, y], [x, x + y], r)
+        shear = transition_factor(im, [x, x + y])
         assert shear.det == Polynomial.one(r)
         assert_transition_identity(swap, [x, y], [y, x])
         assert_transition_identity(shear, [x, y], [x, x + y])
@@ -114,7 +120,7 @@ def test_transition_factor_codim_three():
     x, y, z = (Polynomial.variable(r, v) for v in "xyz")
     f_seq = [x, y, z]
     g_seq = [z, x + y * z, 2 * y + x ** 2]
-    tr = transition_factor(f_seq, g_seq, r)
+    tr = transition_factor(ClosedImmersion.create(r, f_seq), g_seq)
     assert_transition_identity(tr, f_seq, g_seq)
     # C = [[0, 0, 1], [1, z, 0], [x, 2, 0]] is one choice; expanding along
     # the first row, det C = 2 - x*z, which is 2 modulo (x, y, z)
@@ -130,7 +136,7 @@ def test_transition_factor_non_monomial_sequence():
     assert buchberger(f_seq, r).polys == [x ** 6, y + x ** 2]
     f1, f2 = f_seq
     g_seq = [x * f1 + f2, (Polynomial.one(r) + x * y) * f1 + y * f2]
-    tr = transition_factor(f_seq, g_seq, r)
+    tr = transition_factor(ClosedImmersion.create(r, f_seq), g_seq)
     assert_transition_identity(tr, f_seq, g_seq)
     # C = [[x, 1], [1 + x*y, y]] gives det C = x*y - (1 + x*y) = -1
     assert tr.det == Polynomial.constant(r, 2)
@@ -141,7 +147,7 @@ def test_transition_factor_rejects_different_ideals():
     x = Polynomial.variable(r, "x")
     y = Polynomial.variable(r, "y")
     with pytest.raises(ValueError):
-        transition_factor([x, y], [x, y * y], r)
+        transition_factor(ClosedImmersion.create(r, [x, y]), [x, y * y])
 
 
 def test_transition_factor_rejects_non_regular_sequence():
@@ -152,7 +158,7 @@ def test_transition_factor_rejects_non_regular_sequence():
     f_seq = [x * z, y * z ** 2]
     g_seq = [y * z ** 2, x * y * z ** 2 + y * z ** 2 + x * z]
     with pytest.raises(ValueError, match="sequence is not regular"):
-        transition_factor(f_seq, g_seq, r)
+        transition_factor(ClosedImmersion.create(r, f_seq), g_seq)
 
 
 def test_raw_pullbacks_and_determinant():
@@ -168,7 +174,7 @@ def test_raw_pullbacks_and_determinant():
         mf = cartier_pullback(vol, im_f)
         mg = cartier_pullback(vol, im_g)
         assert mf.kappa_table == mg.kappa_table
-        det = transition_factor([x, y], [y, x], r).det
+        det = transition_factor(im_f, [y, x]).det
         u = det.terms[(0, 0)]
         # kappa_g(u m) = u kappa_f(m) for the prime-field unit u
         e = FreeVector.unit(r, 1, 0)
@@ -215,3 +221,61 @@ def test_gamma_pullback_reduces_matrix():
     nq = gamma_pullback(n, im)
     with pytest.raises(ValueError):
         gamma_pullback(nq, im)  # no longer over the ambient ring
+
+
+# ---------------------------------------------------------------------------
+# one regularity proof per sequence
+
+def test_regularity_is_proven_only_by_the_immersion():
+    callers = []
+    for path in sorted(Path(frobkit.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    inner = scope + (child.name,)
+                if isinstance(child, ast.Call):
+                    fn = child.func
+                    name = getattr(fn, "id", getattr(fn, "attr", None))
+                    if name == "is_regular_sequence":
+                        callers.append(".".join((path.stem,) + scope))
+                walk(child, inner)
+
+        walk(tree, ())
+    assert callers == ["koszul.ClosedImmersion.create"]
+
+
+def test_immersion_carries_the_proof(monkeypatch):
+    calls = []
+
+    def counting(original):
+        def is_regular_sequence(seq, ctx):
+            calls.append(seq)
+            return original(seq, ctx)
+        return is_regular_sequence
+
+    for info in pkgutil.iter_modules(frobkit.__path__):
+        mod = importlib.import_module(f"frobkit.{info.name}")
+        if hasattr(mod, "is_regular_sequence"):
+            monkeypatch.setattr(mod, "is_regular_sequence",
+                                counting(mod.is_regular_sequence))
+    r = ring(2, "x", "y")
+    x = Polynomial.variable(r, "x")
+    y = Polynomial.variable(r, "y")
+    im = ClosedImmersion.create(r, [x, y])
+    im_x, im_x2 = (ClosedImmersion.create(r, [x ** k]) for k in (1, 2))
+    assert len(calls) == 3
+    calls.clear()
+    n = GammaSheaf.create(QuotientContext.trivial(r), 1, [[x + y]])
+    assert check_pullback_twist_commutes(n, im).equal
+    over_x = GammaSheaf.create(im_x.target, 1, [[y]])
+    with pytest.raises(ValueError, match="does not generate"):
+        twist_to_cartier(over_x)         # a quotient without an immersion
+    with pytest.raises(ValueError, match="does not generate"):
+        twist_to_cartier(n, im)          # an immersion over P
+    with pytest.raises(ValueError, match="does not generate"):
+        twist_to_cartier(over_x, im_x2)  # the immersion of another ideal
+    assert not calls

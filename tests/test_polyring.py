@@ -410,6 +410,45 @@ def test_module_quotient_properties(rank, p, data):
     assert submodule_equal(module_quotient(hm, h), m)
 
 
+def contain_each_other(a, b) -> bool:
+    """Double containment: every generator of each basis lies in the
+    submodule of the other."""
+    return (all(normal_form(g, b).is_zero() for g in a.generators)
+            and all(normal_form(g, a).is_zero() for g in b.generators))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3]), st.data())
+def test_submodule_equal_matches_double_containment(rank, p, data):
+    ctx = RingContext(FieldSpec(p), ("x", "y"))
+    monos = [m for m in product(range(3), repeat=2) if sum(m) <= 2]
+
+    def poly(min_size):
+        terms = data.draw(st.dictionaries(
+            st.sampled_from(monos), st.integers(1, p - 1),
+            min_size=min_size, max_size=3))
+        return Polynomial(ctx, {m: ctx.field.from_int(c)
+                                for m, c in terms.items()})
+
+    gens = [FreeVector(ctx, [poly(0) for _ in range(rank)])
+            for _ in range(data.draw(st.integers(1, 3)))]
+    h = poly(1)
+    n = module_buchberger(gens, rank, ctx)
+    # the same submodule from more generators, a nearby one with a constant
+    # added to one generator, and quotients and saturations of n
+    more = gens + [gens[0].scale(poly(0)) + gens[-1]]
+    bump = FreeVector.unit(ctx, rank, data.draw(st.integers(0, rank - 1)),
+                           Polynomial.one(ctx))
+    near = [gens[0] + bump] + gens[1:]
+    sat = saturate(n, h)
+    bases = [n, module_buchberger(more, rank, ctx),
+             module_buchberger(near, rank, ctx), module_quotient(n, h), sat,
+             module_quotient(sat, h)]
+    for a in bases:
+        for b in bases:
+            assert submodule_equal(a, b) == contain_each_other(a, b)
+
+
 def test_ideal_quotient_and_saturation(ring2):
     x = Polynomial.variable(ring2, "x")
     y = Polynomial.variable(ring2, "y")

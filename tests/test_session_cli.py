@@ -119,10 +119,13 @@ def test_command_errors_are_structured():
 
 
 def test_artin_schreier_size_error_carries_message():
+    # 6 and 12 have two prime divisors, 1 none
+    qs = (1, 6, 12)
     reports = run_session(base_session(commands=[
-        {"op": "as-kernel", "q": 1}]))
-    assert reports[0]["status"] == "error"
-    assert reports[0]["error"] == "1 is not a prime power"
+        {"op": "as-kernel", "q": q} for q in qs]))
+    for q, report in zip(qs, reports):
+        assert report["status"] == "error"
+        assert report["error"] == f"{q} is not a prime power"
 
 
 def test_bad_bound_is_a_structured_error():
