@@ -272,18 +272,24 @@ class FieldElement:
         return "(" + " + ".join(parts) + ")"
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise _mixed_fields(self.spec, other.spec)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p
-                                             for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
+            raise _mixed_fields(spec, other.spec)
+        p = spec.p
+        if spec.e == 1:
+            return FieldElement(spec, ((self.coeffs[0] + other.coeffs[0]) % p,))
+        return FieldElement(spec, tuple((a + b) % p
+                                        for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise _mixed_fields(self.spec, other.spec)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p
-                                             for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
+            raise _mixed_fields(spec, other.spec)
+        p = spec.p
+        if spec.e == 1:
+            return FieldElement(spec, ((self.coeffs[0] - other.coeffs[0]) % p,))
+        return FieldElement(spec, tuple((a - b) % p
+                                        for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FieldElement":
         p = self.spec.p

@@ -319,14 +319,18 @@ class Polynomial:
 
 
 class FreeVector:
-    """An element of the free module P^s; components are Polynomials."""
+    """An element of the free module P^s; components are Polynomials.  Like
+    them it never changes after construction, so its leading term and, over
+    a prime field, the integer view of its terms that division reads
+    (_int_view) are computed once."""
 
-    __slots__ = ("ctx", "comps", "_lead")
+    __slots__ = ("ctx", "comps", "_lead", "_ints")
 
     def __init__(self, ctx: RingContext, comps: Iterable[Polynomial]):
         self.ctx = ctx
         self.comps = tuple(comps)
         self._lead = None
+        self._ints = None
 
     @classmethod
     def zero(cls, ctx: RingContext, rank: int) -> "FreeVector":
@@ -386,9 +390,13 @@ class FreeVector:
         return self._lead
 
     def monic(self) -> "FreeVector":
+        """This vector scaled to leading coefficient 1; itself, with its
+        cached views, when it is zero or monic already."""
         if self.is_zero():
             return self
         _, _, c = self.leading()
+        if c == self.ctx.field.one():
+            return self
         return self.scale(c.inverse())
 
     def __repr__(self) -> str:
@@ -428,6 +436,13 @@ def _as_vector(f) -> FreeVector:
     return FreeVector(f.ctx, (f,))
 
 
+def _int_view(v: FreeVector) -> tuple[dict, ...]:
+    """The components of ``v``, over a prime field, as {monomial: int} dicts
+    of coefficients in [0, p)."""
+    return tuple({m: c.coeffs[0] for m, c in comp.terms.items()}
+                 for comp in v.comps)
+
+
 def _reduce_vector(v: FreeVector, gens: list[FreeVector]) -> FreeVector:
     """Full multivariate division: returns the remainder of ``v`` against
     ``gens``.  Generators must be monic.
@@ -439,14 +454,34 @@ def _reduce_vector(v: FreeVector, gens: list[FreeVector]) -> FreeVector:
     generator, in list order, whose lead divides it.  Reducing at position j
     adds terms only at positions >= j (a generator's lead position is its
     first nonzero one), and at position j only below the term reduced, so the
-    positions drain in increasing order."""
+    positions drain in increasing order.
+
+    Over a prime field the loop runs on int coefficients mod p, not on
+    FieldElements: the dividend's terms are copied into int dicts, each
+    generator's int view (_int_view) is built on its first division and
+    cached on it, so that a basis element is converted once however many
+    reductions it serves, and the remainder is rebuilt as FieldElement
+    polynomials.  The cached dicts are only read, never written."""
     ctx = v.ctx
+    field = ctx.field
     dkey = ctx.descending_key
+    # 0 over an extension field, where the loop runs on FieldElements
+    p = field.p if field.e == 1 else 0
     divisors: list[list] = [[] for _ in v.comps]
     for g in gens:
         gpos, gm, _ = g.leading()
-        divisors[gpos].append((gm, g.comps))
-    work = [dict(c.terms) for c in v.comps]
+        if p:
+            view = g._ints
+            if view is None:
+                view = g._ints = _int_view(g)
+        else:
+            view = tuple(comp.terms for comp in g.comps)
+        divisors[gpos].append((gm, view))
+    if p:
+        work = [{m: c.coeffs[0] for m, c in comp.terms.items()}
+                for comp in v.comps]
+    else:
+        work = [dict(comp.terms) for comp in v.comps]
     heaps = [[(dkey(m), m) for m in terms] for terms in work]
     rem = [dict() for _ in v.comps]
 
@@ -464,23 +499,28 @@ def _reduce_vector(v: FreeVector, gens: list[FreeVector]) -> FreeVector:
                     for pos in range(j, len(comps)):
                         tgt = work[pos]
                         tgt_heap = heaps[pos]
-                        for mm, cc in comps[pos].terms.items():
+                        for mm, cc in comps[pos].items():
                             mmm = mono_mul(mm, shift)
                             prod = cc * c
                             if mmm in tgt:
                                 s = tgt[mmm] - prod
+                                if p:
+                                    s %= p
                                 if s:
                                     tgt[mmm] = s
                                 else:
                                     del tgt[mmm]
                             else:
-                                tgt[mmm] = -prod
+                                tgt[mmm] = -prod % p if p else -prod
                                 heapq.heappush(tgt_heap, (dkey(mmm), mmm))
                     break
             else:
                 rem[j][m] = c
                 del terms[m]
 
+    if p:
+        rem = [{m: FieldElement(field, (c,)) for m, c in d.items()}
+               for d in rem]
     return FreeVector(ctx, (Polynomial(ctx, d, _clean=False) for d in rem))
 
 

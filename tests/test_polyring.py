@@ -1,18 +1,20 @@
 import hashlib
 import heapq
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from frobkit import polyring
 from frobkit.field import FieldSpec
 from frobkit.polyring import (BudgetExceededError, FreeVector, Limits,
                               ParseError, Polynomial, QuotientContext,
-                              RingContext, _interreduce, _reduce_vector,
-                              _spair, buchberger, current_limits,
-                              format_polynomial, format_vector,
+                              RingContext, _int_view, _interreduce,
+                              _reduce_vector, _spair, buchberger,
+                              current_limits, format_polynomial, format_vector,
                               is_regular_sequence, module_buchberger,
                               module_quotient, module_staircase,
                               normal_form, parse_polynomial, parse_vector,
@@ -253,28 +255,37 @@ def all_pairs_buchberger(vectors: list, rank: int, ctx: RingContext):
     return _interreduce(basis, ctx, rank)
 
 
+# the fields of the module cases: small primes, a prime near 2^15, the
+# Mersenne prime 2^61 - 1 (large ints in the int division loop) and GF(4),
+# GF(9) (the FieldElement loop of extension fields)
+MODULE_FIELDS = (FieldSpec(2), FieldSpec(3), FieldSpec(32003),
+                 FieldSpec(2 ** 61 - 1), FieldSpec(2, 2, (1, 1, 1)),
+                 FieldSpec(3, 2, (1, 0, 1)))
+
+
 @st.composite
 def module_cases(draw):
-    """A ring GF(p)[x,y(,z)] with p in {2, 3, 32003} in either order, a rank
-    1-3, one to three generators and a dividend.  A generator is zero before
-    a drawn position and has up to five terms of degree at most 2 at that
-    position and at each later one.  The dividend has up to six terms of
-    degree at most 4 at every position."""
-    p = draw(st.sampled_from([2, 3, 32003]))
+    """A ring over one of MODULE_FIELDS in 2-3 variables in either order, a
+    rank 1-3, one to three generators and a dividend.  A generator is zero
+    before a drawn position and has up to five terms of degree at most 2 at
+    that position and at each later one.  The dividend has up to six terms
+    of degree at most 4 at every position.  Coefficients are any nonzero
+    field elements."""
+    field = draw(st.sampled_from(MODULE_FIELDS))
     nvars = draw(st.integers(2, 3))
-    ctx = RingContext(FieldSpec(p), ("x", "y", "z")[:nvars],
+    ctx = RingContext(field, ("x", "y", "z")[:nvars],
                       draw(st.sampled_from(["lex", "grevlex"])))
     rank = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(0, field.p - 1), min_size=field.e,
+                      max_size=field.e).filter(any).map(field.element)
 
     def vector(first, degree, size):
         monos = [m for m in product(range(degree + 1), repeat=nvars)
                  if sum(m) <= degree]
-        terms = st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1),
+        terms = st.dictionaries(st.sampled_from(monos), coeffs,
                                 max_size=size)
         return FreeVector(ctx, (
-            Polynomial.zero(ctx) if j < first else Polynomial(
-                ctx, {m: ctx.field.from_int(c)
-                      for m, c in draw(terms).items()})
+            Polynomial.zero(ctx) if j < first else Polynomial(ctx, draw(terms))
             for j in range(rank)))
 
     gens = [vector(draw(st.integers(0, rank - 1)), 2, 5)
@@ -282,7 +293,7 @@ def module_cases(draw):
     return ctx, rank, [g for g in gens if g], vector(0, 4, 6)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(module_cases())
 def test_division_matches_max_scan(case):
     _, _, gens, v = case
@@ -290,7 +301,7 @@ def test_division_matches_max_scan(case):
     assert _reduce_vector(v, gens) == max_scan_reduce(v, gens)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(module_cases())
 def test_buchberger_matches_all_pairs(case):
     ctx, rank, gens, _ = case
@@ -314,6 +325,12 @@ KATSURA_4 = ["2*x4^2 + 2*x3^2 + 2*x2^2 + 2*x1^2 + 32002*x0 + x0^2",
              "32002 + 2*x4 + 2*x3 + 2*x2 + 2*x1 + x0"]
 
 
+def katsura_4_basis():
+    ring = RingContext(FieldSpec(32003), tuple(f"x{i}" for i in range(5)))
+    return ring, buchberger([parse_polynomial(ring, t) for t in KATSURA_4],
+                            ring)
+
+
 def basis_digest(gb) -> str:
     text = "\n".join(format_vector(g) for g in gb.generators)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -322,8 +339,7 @@ def basis_digest(gb) -> str:
 def test_golden_bases():
     """Two reduced bases, byte for byte: grevlex Katsura-4 and one rank-2
     module of relations over GF(2)[x,y]/(x^4,y^4)."""
-    ring = RingContext(FieldSpec(32003), tuple(f"x{i}" for i in range(5)))
-    gb = buchberger([parse_polynomial(ring, t) for t in KATSURA_4], ring)
+    _, gb = katsura_4_basis()
     assert len(gb.generators) == 13
     assert basis_digest(gb) == ("1ea72285b0d7f83998852a03d60ea4cd"
                                 "8bd9888b091e6f283686a94c7b28183d")
@@ -337,6 +353,55 @@ def test_golden_bases():
         "[0, y^4]", "[0, x*y^3 + x^3]", "[0, x^4]"]
     assert basis_digest(gb) == ("2ad9cecb95b9dd36a53bd09441ceb561"
                                 "de0081b18586f06d200f49dcd957d3b0")
+
+
+def test_division_never_writes_into_its_inputs():
+    """Division copies the dividend and reads each divisor's cached int view
+    without writing into it: dividing twice gives the same remainder, a
+    basis element divided by its own basis gives zero, and no term dict or
+    cached view of a divisor changes."""
+    ring, gb = katsura_4_basis()
+    r2 = RingContext(FieldSpec(2), ("x", "y"))
+    module = module_buchberger([parse_vector(r2, 2, "[x*y, x^2 + y^3]"),
+                                parse_vector(r2, 2, "[y^2 + x, x*y^2]"),
+                                parse_vector(r2, 2, "[x^4, 0]"),
+                                parse_vector(r2, 2, "[0, y^4]")], 2)
+    cases = [(list(gb.generators), FreeVector(ring, (parse_polynomial(
+                 ring, "x0^3*x1 + 5*x2^2*x4 + x3^4 + 7*x1*x2 + 11"),))),
+             (list(module.generators),
+              parse_vector(r2, 2, "[x^3*y^2 + y^5 + x, x^2*y^3 + x*y + 1]"))]
+    for gens, v in cases:
+        terms = [[dict(c.terms) for c in g.comps] for g in gens]
+        v_terms = [dict(c.terms) for c in v.comps]
+        first = _reduce_vector(v, gens)
+        views = [tuple(dict(d) for d in g._ints) for g in gens]
+        assert _reduce_vector(v, gens) == first
+        assert first
+        for g in gens:
+            assert g._ints is not None
+            assert not _reduce_vector(g, gens)
+        assert [dict(c.terms) for c in v.comps] == v_terms
+        assert [[dict(c.terms) for c in g.comps] for g in gens] == terms
+        assert [tuple(dict(d) for d in g._ints) for g in gens] == views
+        assert [g._ints for g in gens] == [_int_view(g) for g in gens]
+
+
+def test_int_view_is_built_once_per_basis_element(monkeypatch):
+    """During one buchberger call every basis element, the S-pair remainders
+    and the elements of the interreduction alike, is converted to ints at
+    most once, however many reductions it serves.  Views are counted by
+    value, so a vector rebuilt with the same terms counts again."""
+    built = Counter()
+
+    def counting(v):
+        built[v] += 1
+        return _int_view(v)
+
+    monkeypatch.setattr(polyring, "_int_view", counting)
+    _, gb = katsura_4_basis()
+    assert len(gb.generators) == 13
+    assert len(built) > 13
+    assert max(built.values()) == 1
 
 
 def test_normal_form_is_idempotent(ring2):
