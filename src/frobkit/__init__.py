@@ -3,7 +3,7 @@ finite fields — Cartier modules, gamma-sheaves, the dualizing twist between
 them, Koszul pullbacks along regular sequences, nilpotence and crystal tests,
 and solution spaces at rational points."""
 
-from .field import FieldElement, FieldSpec, frobenius, frobenius_root
+from .field import FieldElement, FieldSpec, frobenius_root
 from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
                        Limits, ParseError, Polynomial, QuotientContext,
                        RingContext, buchberger, format_polynomial,

@@ -38,19 +38,31 @@ class FrobeniusDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _term_loop(nvars: int, take_root: bool):
-    """The per-term loop of pth_root_decompose for a fixed number of
-    variables: exponents are unpacked and the residue and quotient keys are
-    built as tuple displays, which is several times cheaper per term than
-    building them from generator expressions.  With take_root False the
-    coefficients are copied as they are (frobenius_root is the identity over
-    a prime field)."""
+def _term_loop(nvars: int, take_root: bool, volume: bool = False):
+    """The per-term loop of pth_root_decompose, or with volume True that of
+    cartier_volume, for a fixed number of variables: exponents are unpacked
+    and the residue and quotient keys are built as tuple displays, which is
+    several times cheaper per term than building them from generator
+    expressions.  With take_root False the coefficients are copied as they
+    are (frobenius_root is the identity over a prime field)."""
     es = "".join(f"e{i}, " for i in range(nvars))
     residues = "".join(f"e{i} % p, " for i in range(nvars))
     quotients = "".join(f"e{i} // p, " for i in range(nvars))
     coeff = "root(c)" if take_root else "c"
-    source = f"""
-def loop(terms, p, root):
+    if volume:
+        # e % p == p - 1 exactly when p divides e + 1, and then
+        # (e + 1) // p - 1 == e // p
+        keep = " and ".join(f"e{i} % p == top" for i in range(nvars))
+        body = f"""
+    out = {{}}
+    top = p - 1
+    for ({es}), c in terms.items():
+        if {keep}:
+            out[({quotients})] = {coeff}
+    return out
+"""
+    else:
+        body = f"""
     parts = {{}}
     for ({es}), c in terms.items():
         a = ({residues})
@@ -61,7 +73,7 @@ def loop(terms, p, root):
     return parts
 """
     namespace: dict = {}
-    exec(source, namespace)
+    exec("def loop(terms, p, root):" + body, namespace)
     return namespace["loop"]
 
 
@@ -80,17 +92,10 @@ def cartier_volume(f: Polynomial) -> Polynomial:
     """Coefficient of the canonical Cartier operator on the volume form:
     kappa(f dx) = cartier_volume(f) dx.  A term c*x^E contributes
     c^(1/p) * x^((E+1)/p - 1) when every E_i + 1 is divisible by p, and zero
-    otherwise.  Equals the (p-1,...,p-1) slot of pth_root_decompose(f)."""
+    otherwise.  Equals the (p-1,...,p-1) slot of pth_root_decompose(f).  The
+    term loop is specialised to the number of variables and cached (see
+    _term_loop)."""
     ctx = f.ctx
-    p = ctx.field.p
-    out: dict = {}
-    for m, c in f.terms.items():
-        ok = True
-        for e in m:
-            if (e + 1) % p:
-                ok = False
-                break
-        if ok:
-            out[tuple((e + 1) // p - 1 for e in m)] = frobenius_root(c)
-    return Polynomial(ctx, out, _clean=False)
-
+    loop = _term_loop(ctx.nvars, ctx.field.e > 1, volume=True)
+    return Polynomial(ctx, loop(f.terms, ctx.field.p, frobenius_root),
+                      _clean=False)

@@ -293,23 +293,28 @@ class Polynomial:
                  target: Optional[FieldSpec] = None) -> FieldElement:
         """Evaluate at a point with coordinates in ``target`` (defaults to the
         field of the coordinates).  Base-field coefficients embed into the
-        point field via the prime subfield; extension coefficients require the
-        point field to equal the base field."""
+        point field via the prime subfield, so both have one characteristic;
+        extension coefficients require the point field to equal the base
+        field."""
         if target is None:
             target = coords[0].spec if coords else self.ctx.field
         base = self.ctx.field
-        same = base == target
-        if base.e > 1 and not same:
-            raise ValueError("extension base fields require points with "
-                             "coordinates in the base field itself")
-        acc = target.zero()
+        same = base is target or base == target
+        if not same:
+            if base.e > 1:
+                raise ValueError("extension base fields require points with "
+                                 "coordinates in the base field itself")
+            if base.p != target.p:
+                raise ValueError("the point field has another characteristic")
+        pad = (0,) * (target.e - 1)  # a prime-field c is (c, 0, ..., 0)
+        acc = None
         for m, c in self.terms.items():
-            cv = c if same else target.from_int(c.coeffs[0])
+            cv = c if same else FieldElement(target, c.coeffs + pad)
             for x, e in zip(coords, m):
                 if e:
-                    cv = cv * x ** e
-            acc = acc + cv
-        return acc
+                    cv = cv * (x if e == 1 else x ** e)
+            acc = cv if acc is None else acc + cv
+        return target.zero() if acc is None else acc
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"

@@ -11,7 +11,7 @@ from itertools import product
 
 from .field import FieldElement, FieldSpec, _is_irreducible
 from .gamma import GammaSheaf
-from .linalg import prime_field_kernel
+from .linalg import nullspace_mod_p
 from .polyring import QuotientContext, current_limits
 
 
@@ -122,18 +122,40 @@ def _check_fiber(root: GammaSheaf, pt: RationalPoint) -> list[list[FieldElement]
              for j in range(root.rank)] for i in range(root.rank)]
 
 
+@lru_cache(maxsize=_POINT_FIELDS)
+def _frobenius_of_basis(spec: FieldSpec) -> tuple[FieldElement, ...]:
+    """g^(tp) for the power basis 1, g, ..., g^(m-1) of the point field,
+    computed once per field and shared by every point over it."""
+    return tuple(b ** spec.p for b in spec.power_basis())
+
+
 def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
     """Solve w_j = sum_i A_ij(alpha) w_i^p by restriction of scalars: the map
     w -> w - A(alpha)^T w^[p] is F_p-linear, so its kernel is cut out by an
-    F_p-linear system in the s*m prime-field coordinates of w."""
+    F_p-linear system in the s*m prime-field coordinates of w.
+
+    The system is one s*m x s*m integer matrix over GF(p) in block form:
+    block (j, i) is delta_ij * I - N(A_ij(alpha)), where column t of N(c) is
+    the coefficient vector of c * g^(tp) (rows j*m..j*m+m-1 hold the
+    coefficients of the image's entry j, columns i*m..i*m+m-1 the
+    coordinates of w_i).  A zero entry leaves its block delta_ij * I."""
     spec = pt.spec
-    s = root.rank
+    m, s = spec.e, root.rank
     a_at = _check_fiber(root, pt)
-    zero = spec.zero()
-    basis_p = [(b, b ** spec.p) for b in spec.power_basis()]
-    images = [[(bt if i == j else zero) - a_at[i][j] * btp for j in range(s)]
-              for i in range(s) for bt, btp in basis_p]
-    basis = tuple(tuple(w) for w in prime_field_kernel(images, spec))
+    frob = _frobenius_of_basis(spec)
+    size = s * m
+    system = [[0] * size for _ in range(size)]
+    for r in range(size):
+        system[r][r] = 1
+    for i, row in enumerate(a_at):
+        for j, c in enumerate(row):
+            if c:
+                for col, bp in enumerate(frob, i * m):
+                    for r, x in enumerate((c * bp).coeffs, j * m):
+                        system[r][col] -= x
+    basis = tuple(tuple(FieldElement(spec, tuple(sol[k:k + m]))
+                        for k in range(0, size, m))
+                  for sol in nullspace_mod_p(system, size, spec.p))
     return SolutionSpace(len(basis), basis)
 
 

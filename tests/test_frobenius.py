@@ -107,6 +107,34 @@ def test_cartier_volume_two_routes(p, n):
         assert cartier_volume(f) == cartier_volume_by_decomposition(f)
 
 
+
+def reference_volume(f):
+    """Per-term reference from the docstring of cartier_volume: c*x^E
+    contributes frobenius_root(c)*x^((E+1)/p - 1) when p divides every
+    E_i + 1."""
+    p = f.ctx.field.p
+    return {tuple((e + 1) // p - 1 for e in m): frobenius_root(c)
+            for m, c in f.terms.items() if all((e + 1) % p == 0 for e in m)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(3), FieldSpec(5),
+                                  GF9], ids=["GF2", "GF3", "GF5", "GF9"])
+def test_cartier_volume_matches_per_term_reference(spec, n):
+    ring = RingContext(spec, tuple(f"x{i}" for i in range(n)))
+    assert cartier_volume(Polynomial.zero(ring)).terms == {}
+    p = spec.p
+    rng = random.Random(17 * spec.size + n)
+    for _ in range(20):
+        # random terms, most of which the operator drops, plus terms with
+        # every exponent p - 1 mod p, which it keeps
+        kept = rand_poly(rng, ring, max_deg=2, terms=6)
+        f = rand_poly(rng, ring, max_deg=3 * p, terms=12) + Polynomial(
+            ring, {tuple(p * e + p - 1 for e in m): c
+                   for m, c in kept.terms.items()})
+        assert (list(cartier_volume(f).terms.items())
+                == list(reference_volume(f).items()))
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cartier_volume_semilinear_and_surjective(p):
     ring = RingContext(FieldSpec(p), ("x", "y"))

@@ -19,6 +19,7 @@ from frobkit.polyring import (BudgetExceededError, FreeVector, Limits,
                               module_quotient, module_staircase,
                               normal_form, parse_polynomial, parse_vector,
                               saturate, submodule_equal, use_limits)
+from frobkit.solutions import point_field
 
 
 @pytest.fixture
@@ -110,6 +111,62 @@ def test_monomial_orders():
                 assert f.leading() == (m, f.terms[m])
                 assert f.leading() == (m, f.terms[m])  # from the cache
 
+
+
+def naive_evaluate(f, coords, target):
+    """Reference for Polynomial.evaluate: every coefficient embedded by
+    from_int (or kept, over the point field itself), every power formed by
+    repeated multiplication, and the terms summed from the target's zero."""
+    same = f.ctx.field == target
+    acc = target.zero()
+    for m, c in f.terms.items():
+        cv = c if same else target.from_int(c.coeffs[0])
+        for x, e in zip(coords, m):
+            for _ in range(e):
+                cv = cv * x
+        acc = acc + cv
+    return acc
+
+
+def test_evaluate_matches_naive_loop():
+    gf9 = point_field(3, 2)
+    gf9_copy = FieldSpec(3, 2, gf9.modulus)  # equal to gf9, not the same
+    big = FieldSpec(2 ** 61 - 1)
+    cases = [(FieldSpec(3), FieldSpec(3)), (FieldSpec(3), point_field(3, 3)),
+             (FieldSpec(2), point_field(2, 2)), (big, big), (gf9, gf9),
+             (gf9, gf9_copy)]
+    rng = random.Random(31)
+
+    def element(spec):
+        return spec.element([rng.randrange(spec.p) for _ in range(spec.e)])
+
+    exponents = set()
+    for base, target in cases:
+        ring = RingContext(base, ("x", "y", "z"))
+        coords = tuple(element(target) for _ in range(3))
+        zero = Polynomial.zero(ring).evaluate(coords, target)
+        assert zero == target.zero() and zero.spec == target
+        for _ in range(40):
+            f = Polynomial.zero(ring)
+            for _ in range(rng.randint(1, 5)):
+                m = tuple(rng.randint(0, 3) for _ in range(3))
+                f = f + Polynomial.monomial(ring, m, element(base))
+            coords = tuple(element(target) for _ in range(3))
+            got = f.evaluate(coords, target)
+            assert got == naive_evaluate(f, coords, target)
+            assert got.spec == target
+            assert f.evaluate(coords) == got  # the coordinates' field
+            exponents.update(e for m in f.terms for e in m)
+    assert exponents == {0, 1, 2, 3}
+    # coefficients outside the prime field need points over the base field
+    x = Polynomial.variable(RingContext(gf9, ("x",)), "x")
+    f = x + Polynomial.constant(x.ctx, gf9.generator())
+    for foreign in (FieldSpec(3), point_field(3, 4)):
+        with pytest.raises(ValueError, match="extension base fields"):
+            f.evaluate((foreign.one(),), foreign)
+    with pytest.raises(ValueError, match="another characteristic"):
+        Polynomial.variable(RingContext(FieldSpec(5), ("x",)), "x").evaluate(
+            (FieldSpec(3).one(),))
 
 # ---------------------------------------------------------------------------
 # Groebner bases

@@ -4,9 +4,11 @@ import pytest
 
 from frobkit.field import FieldSpec
 from frobkit.gamma import GammaSheaf, gamma_is_nilpotent
+from frobkit.linalg import prime_field_kernel
 from frobkit.polyring import (Limits, Polynomial, QuotientContext,
                               RingContext, use_limits)
 from frobkit.solutions import (FiberDegenerationError, GuardExceededError,
+                               RationalPoint, _check_fiber,
                                artin_schreier_kernel, enumerate_points,
                                point_field, smallest_irreducible,
                                solutions_at_point)
@@ -177,3 +179,63 @@ def test_extension_base_field_points():
     root = const_root(ctx, 1)
     for pt in pts:
         assert solutions_at_point(root, pt).dimension == 1
+
+
+def field_image_basis(root, pt):
+    """The solution basis by the construction the integer assembly replaced:
+    the image of g^t e_i is a vector of field elements, each entry formed by
+    field subtraction, and prime_field_kernel restricts scalars."""
+    spec = pt.spec
+    s = root.rank
+    a_at = _check_fiber(root, pt)
+    zero = spec.zero()
+    basis_p = [(b, b ** spec.p) for b in spec.power_basis()]
+    images = [[(bt if i == j else zero) - a_at[i][j] * btp for j in range(s)]
+              for i in range(s) for bt, btp in basis_p]
+    return tuple(tuple(w) for w in prime_field_kernel(images, spec))
+
+
+def assembly_cases():
+    """(root, point) pairs of ranks 1-3 in two variables, drawn from one
+    seeded generator: random points over GF(4), GF(8), GF(9), GF(25) and
+    GF(2^61 - 1), the points of a quotient over GF(9), and the points of
+    the ambient plane over the extension base field GF(4).  Each context
+    also gets the identity root of rank 3, whose solutions have dimension
+    3."""
+    rng = random.Random(1729)
+    cases = []
+    for p, m in ((2, 2), (2, 3), (3, 2), (5, 2), (2 ** 61 - 1, 1)):
+        ctx = ambient(p, "x", "y")
+        spec = point_field(p, m)
+        cases.append((const_root(ctx, 1, 3), RationalPoint(
+            m, spec, (spec.generator() if m > 1 else spec.one(),) * 2)))
+        for _ in range(12):
+            root = random_gamma(rng, ctx, rng.randint(1, 3), max_deg=2)
+            coords = tuple(spec.element([rng.randrange(p) for _ in range(m)])
+                           for _ in range(2))
+            cases.append((root, RationalPoint(m, spec, coords)))
+    ring = RingContext(FieldSpec(3), ("x", "y"))
+    x, y = Polynomial.variable(ring, "x"), Polynomial.variable(ring, "y")
+    quotient = QuotientContext.from_generators(ring, [x ** 3 - x, y ** 2])
+    gf4 = FieldSpec(2, 2, (1, 1, 1))
+    extension = QuotientContext.trivial(RingContext(gf4, ("x", "y")))
+    for ctx in (quotient, extension):
+        pts = enumerate_points(ctx, 2)
+        cases.append((const_root(ctx, 1, 3), pts[-1]))
+        for _ in range(12):
+            root = random_gamma(rng, ctx, rng.randint(1, 3), max_deg=2)
+            cases.append((root, pts[rng.randrange(len(pts))]))
+    return cases
+
+
+def test_integer_assembly_matches_field_images():
+    dims = set()
+    for root, pt in assembly_cases():
+        space = solutions_at_point(root, pt)
+        assert space.basis == field_image_basis(root, pt)
+        assert space.dimension == len(space.basis)
+        dims.add(space.dimension)
+        if pt.spec.size ** root.rank <= 729:
+            brute = brute_force_solutions(root, pt)
+            assert len(brute) == pt.spec.p ** space.dimension
+    assert dims == {0, 1, 2, 3}
