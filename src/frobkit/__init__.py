@@ -17,11 +17,11 @@ from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict, SemilinearEndo, StableImageResult,
                       cartier_structure_violations, hom_commuting,
                       is_crystal_supported_on, is_nilpotent, kappa_apply,
-                      nil_isomorphism_test, restrict_to_principal_open,
-                      stable_image, volume_cartier_module)
-from .gamma import (GammaIterate, GammaSheaf, gamma_is_nilpotent,
-                    gamma_iterate, gamma_structure_violations,
-                    gen_stable_dimension, twist_to_cartier, twist_to_gamma)
+                      nil_isomorphism_test, stable_image,
+                      volume_cartier_module)
+from .gamma import (GammaSheaf, gamma_is_nilpotent, gamma_iterate,
+                    gamma_structure_violations, gen_stable_dimension,
+                    twist_to_cartier, twist_to_gamma)
 from .koszul import (ClosedImmersion, TransitionMatrix, cartier_pullback,
                      check_pullback_twist_commutes, dualizing_module,
                      gamma_pullback, transition_factor)

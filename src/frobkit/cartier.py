@@ -2,9 +2,10 @@
 module P^s together with a p^(-1)-linear operator kappa given by its value
 table on the F_* generators {x^a e_j}.  Provides application and iteration of
 kappa, the descending image chain and its stable limit, nilpotence and
-crystal-level tests, restriction to principal opens, and a finite-dimensional
-tier of p^(-1)-linear operators on k^d: their image chain, the maps that
-commute with two of them, and the nil-isomorphism test.
+crystal-level tests (support on V(J) through the saturation of the
+relations), and a finite-dimensional tier of p^(-1)-linear operators on k^d:
+their image chain, the maps that commute with two of them, and the
+nil-isomorphism test.
 """
 from __future__ import annotations
 
@@ -223,51 +224,6 @@ def volume_cartier_module(ring: RingContext) -> CartierModule:
     top = tuple(ring.field.p - 1 for _ in range(ring.nvars))
     return CartierModule.create(ctx, 1,
                                 table={(0, top): FreeVector.unit(ring, 1, 0)})
-
-
-# ---------------------------------------------------------------------------
-# localization at a principal open
-
-@dataclass(frozen=True)
-class LocalizedElement:
-    """numerator / h^power inside M_h."""
-
-    numerator: FreeVector
-    power: int
-
-
-@dataclass(frozen=True)
-class LocalizedCartierModule:
-    """The restriction of a Cartier module to the principal open D(h)."""
-
-    base: CartierModule
-    h: Polynomial
-    saturated: GroebnerBasis
-
-    def element(self, v: FreeVector, power: int = 0) -> LocalizedElement:
-        return LocalizedElement(self.base.nf(v), power)
-
-    def kappa(self, x: LocalizedElement) -> LocalizedElement:
-        """kappa(m / h^s) = kappa(h^(pt - s) m) / h^t with t = ceil(s/p)."""
-        p = self.base.ring.field.p
-        s = x.power
-        t = -(-s // p)
-        shifted = x.numerator.scale(self.h ** (p * t - s))
-        return LocalizedElement(kappa_apply(self.base, shifted), t)
-
-    def elements_equal(self, x: LocalizedElement, y: LocalizedElement) -> bool:
-        """Equality in M_h: cross-multiply and compare modulo the h-saturated
-        relations (the kernel of M -> M_h)."""
-        diff = (x.numerator.scale(self.h ** y.power)
-                - y.numerator.scale(self.h ** x.power))
-        return normal_form(diff, self.saturated).is_zero()
-
-
-def restrict_to_principal_open(m: CartierModule,
-                               h: Polynomial) -> LocalizedCartierModule:
-    if m.ctx.contains(h):
-        raise ValueError("h lies in the quotient ideal; D(h) misses V(I)")
-    return LocalizedCartierModule(m, h, saturate(m.relations, h))
 
 
 # ---------------------------------------------------------------------------

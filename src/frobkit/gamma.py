@@ -6,16 +6,16 @@ dimension of the unit module generated by a root.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import TYPE_CHECKING, Optional
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict)
 from .frobenius import cartier_volume, residue_exponents
-from .polyring import (FreeVector, GroebnerBasis, Polynomial,
-                       QuotientContext, RankMismatchError, RingContext,
-                       module_buchberger, module_staircase, normal_form)
+from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
+                       Polynomial, QuotientContext, RankMismatchError,
+                       RingContext, current_limits, module_buchberger,
+                       module_staircase, normal_form)
 
 if TYPE_CHECKING:  # koszul imports this module
     from .koszul import ClosedImmersion
@@ -83,21 +83,13 @@ def gamma_structure_violations(n: GammaSheaf) -> list[int]:
     return violations
 
 
-@dataclass(frozen=True)
-class GammaIterate:
-    """The composite F^(e-1)*gamma o ... o F*gamma o gamma as a matrix."""
-
-    level: int
-    matrix: tuple
-
-
 def _iterates(n: GammaSheaf):
-    """The composites at levels 1, 2, ...: the one at level e + 1 is
+    """The composite matrices at levels 1, 2, ...: the one at level e + 1 is
     A^[p^e] times the one at level e, reduced mod I."""
-    it = GammaIterate(1, n.matrix)
-    while True:
-        yield it
-        tw = tuple(tuple(x.frobenius_twist(it.level) for x in row)
+    mat = n.matrix
+    for level in count(1):
+        yield mat
+        tw = tuple(tuple(x.frobenius_twist(level) for x in row)
                    for row in n.matrix)
         nxt = []
         for i in range(n.rank):
@@ -105,60 +97,66 @@ def _iterates(n: GammaSheaf):
             for j in range(n.rank):
                 acc = Polynomial.zero(n.ring)
                 for t in range(n.rank):
-                    acc = acc + tw[i][t] * it.matrix[t][j]
+                    acc = acc + tw[i][t] * mat[t][j]
                 row.append(n.ctx.nf(acc))
             nxt.append(tuple(row))
-        it = GammaIterate(it.level + 1, tuple(nxt))
+        mat = tuple(nxt)
 
 
-def gamma_iterate(n: GammaSheaf, e: int) -> GammaIterate:
-    """The e-fold composite alone.  The library reads the composites from
-    _iterates as it goes; this entry point stays because perfbench/tracing.py
-    times it as ``gamma.iterate`` and tests/test_kernel_chain.py checks the
-    chain against it."""
+def gamma_iterate(n: GammaSheaf, e: int) -> tuple:
+    """The matrix of F^(e-1)*gamma o ... o F*gamma o gamma alone.  The
+    library reads the composites from _iterates as it goes; this entry point
+    stays because perfbench/tracing.py times it as ``gamma.iterate`` and
+    tests/test_kernel_chain.py checks the chain against it."""
     if e < 1:
         raise ValueError("level must be >= 1")
     return next(islice(_iterates(n), e - 1, None))
 
 
-def _columns(n: GammaSheaf, it: GammaIterate) -> list:
-    return [FreeVector(n.ring, (it.matrix[i][j] for i in range(n.rank)))
+def _columns(n: GammaSheaf, mat: tuple) -> list:
+    return [FreeVector(n.ring, (mat[i][j] for i in range(n.rank)))
             for j in range(n.rank)]
 
 
-def _image_dimension(n: GammaSheaf, it: GammaIterate) -> int:
+def _image_dimension(n: GammaSheaf, level: int, mat: tuple) -> int:
     """k-dimension of the image of the composite in F^e*N:
     dim(P^s/rels_e) - dim(P^s/(columns + rels_e))."""
-    rels = twisted_relations(n, it.level)
+    rels = twisted_relations(n, level)
     amb = module_staircase(rels, n.rank)
     if amb is None:
         raise InfiniteDimensionalError("twisted relations are not "
                                        "finite dimensional")
-    joint = module_buchberger(list(rels.generators) + _columns(n, it),
+    joint = module_buchberger(list(rels.generators) + _columns(n, mat),
                               n.rank, n.ring)
     return len(amb) - len(module_staircase(joint, n.rank))
 
 
 def _kernel_chain(n: GammaSheaf) -> list:
-    """(composite, image dimension) for e = 1, 2, ... over a
-    finite-dimensional N, up to the stopping rule of gen_stable_dimension."""
-    st = module_staircase(n.relations, n.rank)
+    """(level, composite, image dimension) for e = 1, 2, ... over a
+    finite-dimensional N, up to the stopping rule and the limit of
+    gen_stable_dimension."""
+    d = len(module_staircase(n.relations, n.rank))
     # N is a quotient of R^s, so it is R^s exactly when dim N = s dim R
-    free = len(st) == n.rank * (n.ctx.dimension() or 0)
+    free = d == n.rank * (n.ctx.dimension() or 0)
     stop_on_repeat = n.ctx.is_ambient or free
+    levels = max(1, d) + 1
+    limit = current_limits().chain
     chain = []
-    for it in islice(_iterates(n), max(1, len(st)) + 1):
-        r = _image_dimension(n, it)
-        chain.append((it, r))
-        if r == 0 or (stop_on_repeat and len(chain) > 1
-                      and r == chain[-2][1]):
+    for level, mat in enumerate(islice(_iterates(n), levels), 1):
+        r = _image_dimension(n, level, mat)
+        chain.append((level, mat, r))
+        if r == 0 or (stop_on_repeat and level > 1 and r == chain[-2][2]):
             break
+        if level >= limit and level < levels:
+            raise BudgetExceededError(
+                f"kernel chain did not stop in {limit} levels; the last "
+                f"image dimension was {r} of dim N = {d}")
     return chain
 
 
-def _columns_vanish(n: GammaSheaf, it: GammaIterate) -> bool:
-    tw = twisted_relations(n, it.level)
-    return all(normal_form(col, tw).is_zero() for col in _columns(n, it))
+def _columns_vanish(n: GammaSheaf, level: int, mat: tuple) -> bool:
+    tw = twisted_relations(n, level)
+    return all(normal_form(col, tw).is_zero() for col in _columns(n, mat))
 
 
 def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16) -> NilpotenceVerdict:
@@ -169,12 +167,12 @@ def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16) -> NilpotenceVerdict:
     equal kernels from then on, hence not nilpotent; see there for why).
     When N is infinite dimensional the search runs over e = 1, ..., e_max."""
     if module_staircase(n.relations, n.rank) is not None:
-        it, r = _kernel_chain(n)[-1]
-        return (NilpotenceVerdict.nilpotent(it.level) if r == 0
+        level, _, r = _kernel_chain(n)[-1]
+        return (NilpotenceVerdict.nilpotent(level) if r == 0
                 else NilpotenceVerdict.not_nilpotent())
-    for it in islice(_iterates(n), e_max):
-        if _columns_vanish(n, it):
-            return NilpotenceVerdict.nilpotent(it.level)
+    for level, mat in enumerate(islice(_iterates(n), e_max), 1):
+        if _columns_vanish(n, level, mat):
+            return NilpotenceVerdict.nilpotent(level)
     return NilpotenceVerdict.not_nilpotent_up_to(e_max)
 
 
@@ -238,8 +236,10 @@ def gen_stable_dimension(n: GammaSheaf) -> int:
     is returned.  Over a quotient P/I the repeat rule is used only for free
     N (relations I e_j); where P/I is not regular, Frobenius is not flat and
     the rule is observed there but unproven.  Other N over a quotient run on
-    to e = d + 1, which can still be too early where P/I is not regular."""
+    to e = d + 1, which can still be too early where P/I is not regular.
+    Raises BudgetExceededError after ``current_limits().chain`` levels that
+    have not reached one of these stops."""
     if module_staircase(n.relations, n.rank) is None:
         raise InfiniteDimensionalError("gen dimension needs a finite "
                                        "dimensional context")
-    return _kernel_chain(n)[-1][1]
+    return _kernel_chain(n)[-1][2]

@@ -25,9 +25,9 @@ Monomial = tuple  # exponent vectors; length = number of ring variables
 @dataclass(frozen=True)
 class Limits:
     """Bounds on the work of one computation: S-pairs reduced per Groebner
-    basis, levels of an image chain or a saturation, and points or field
-    elements enumerated.  Each limit is read where it is spent, from the
-    limits in force (see use_limits)."""
+    basis, levels of a Cartier image chain, a gamma kernel chain or a
+    saturation, and points or field elements enumerated.  Each limit is
+    read where it is spent, from the limits in force (see use_limits)."""
 
     spair: int = 50_000
     chain: int = 64
@@ -295,9 +295,12 @@ class Polynomial:
         field of the coordinates).  Base-field coefficients embed into the
         point field via the prime subfield, so both have one characteristic;
         extension coefficients require the point field to equal the base
-        field."""
+        field.  There must be one coordinate per variable."""
+        if len(coords) != self.ctx.nvars:
+            raise ValueError(f"{len(coords)} coordinates for "
+                             f"{self.ctx.nvars} variables")
         if target is None:
-            target = coords[0].spec if coords else self.ctx.field
+            target = coords[0].spec
         base = self.ctx.field
         same = base is target or base == target
         if not same:

@@ -10,9 +10,8 @@ from frobkit.cartier import (CartierModule, InfiniteDimensionalError,
                              SemilinearEndo, cartier_structure_violations,
                              hom_commuting, is_crystal_supported_on,
                              is_nilpotent, kappa_apply, kappa_lift,
-                             nil_isomorphism_test, restrict_to_principal_open,
-                             semilinear_image_chain, stable_image,
-                             volume_cartier_module)
+                             nil_isomorphism_test, semilinear_image_chain,
+                             stable_image, volume_cartier_module)
 from frobkit.field import FieldSpec, frobenius_root
 from frobkit.gamma import twist_to_cartier
 from frobkit.koszul import ClosedImmersion
@@ -121,32 +120,6 @@ def test_nilpotence_worked_instances():
     assert v.is_nilpotent and v.index == 1
     vol = volume_cartier_module(r)
     assert is_nilpotent(vol).status == "not_nilpotent"
-
-
-def test_restrict_to_principal_open():
-    r = ring(3, "x")
-    x = Polynomial.variable(r, "x")
-    vol = volume_cartier_module(r)
-    loc = restrict_to_principal_open(vol, x)
-    e = FreeVector.unit(r, 1, 0)
-    # denominator 0 reduces to plain kappa
-    img = loc.kappa(loc.element(e.scale(x ** 2), 0))
-    assert img.power == 0 and img.numerator == e
-    # the log form dx/x is fixed
-    logf = loc.element(e, 1)
-    assert loc.elements_equal(loc.kappa(logf), logf)
-    # kappa((1/x^p) e) = kappa(e)/x = 0
-    zero = loc.element(FreeVector.zero(r, 1), 0)
-    assert loc.elements_equal(loc.kappa(loc.element(e, 3)), zero)
-
-
-def test_restrict_rejects_ideal_member():
-    r = ring(2, "x")
-    x = Polynomial.variable(r, "x")
-    ctx = QuotientContext.from_generators(r, [x])
-    m = CartierModule.create(ctx, 1)
-    with pytest.raises(ValueError):
-        restrict_to_principal_open(m, x)
 
 
 def test_crystal_support():

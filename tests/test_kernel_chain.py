@@ -126,13 +126,13 @@ def test_chain_matches_full_loop(case):
     # a repeat ends the chain over P and for free N only
     free = not ambient and all(c == k for box in boxes for c in box)
     expected = chain_prefix(dims) if ambient or free else dims
-    assert [r for _, r in chain] == expected
-    for it, _ in chain:
-        assert it.matrix == reference_composite(n, it.level)
-        assert it.matrix == gamma_iterate(n, it.level).matrix
+    assert [r for _, _, r in chain] == expected
+    for level, mat, _ in chain:
+        assert mat == reference_composite(n, level)
+        assert mat == gamma_iterate(n, level)
     # the chain often stops at e = 2; the full loop's last level goes deeper
     last = len(dims)
-    assert gamma_iterate(n, last).matrix == reference_composite(n, last)
+    assert gamma_iterate(n, last) == reference_composite(n, last)
     assert gen_stable_dimension(n) == dims[-1]
     verdict = gamma_is_nilpotent(n)
     if dims[-1]:
@@ -147,7 +147,7 @@ def test_chain_stops_at_first_repeat():
     ctx = fat_point(2, ("x", "y"), 2)
     one, zero = Polynomial.one(ctx.ring), Polynomial.zero(ctx.ring)
     n = GammaSheaf.create(ctx, 2, [[one, zero], [zero, one]])
-    assert [(it.level, r) for it, r in _kernel_chain(n)] \
+    assert [(level, r) for level, _, r in _kernel_chain(n)] \
         == [(1, 8), (2, 8)]
     assert gen_stable_dimension(n) == 8
 
@@ -160,7 +160,7 @@ def test_non_free_chain_runs_past_a_repeat():
     rels = [FreeVector.unit(ctx.ring, 2, j, x) for j in range(2)]
     n = GammaSheaf.create(ctx, 2, [[x, zero], [zero, x]], rels)
     assert not gamma_structure_violations(n)
-    assert [r for _, r in _kernel_chain(n)] == [2, 2, 0]
+    assert [r for _, _, r in _kernel_chain(n)] == [2, 2, 0]
     assert gen_stable_dimension(n) == 0
     verdict = gamma_is_nilpotent(n)
     assert verdict.is_nilpotent and verdict.index == 3
@@ -174,7 +174,7 @@ def test_non_free_nilpotence_index_past_dim():
     n = GammaSheaf.create(ctx, 1, [[x ** 2]], [FreeVector.unit(ctx.ring, 1,
                                                                0, x)])
     assert not gamma_structure_violations(n)
-    assert [r for _, r in _kernel_chain(n)] == [1, 0]
+    assert [r for _, _, r in _kernel_chain(n)] == [1, 0]
     verdict = gamma_is_nilpotent(n)
     assert verdict.is_nilpotent and verdict.index == 2
 

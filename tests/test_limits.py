@@ -10,13 +10,14 @@ import pytest
 
 import frobkit
 from frobkit import Limits, use_limits
-from frobkit.cartier import (CartierModule, is_nilpotent,
-                             restrict_to_principal_open)
+from frobkit.cartier import CartierModule, is_nilpotent
 from frobkit.cli import main
 from frobkit.field import FieldSpec
-from frobkit.gamma import GammaSheaf, gamma_structure_violations
-from frobkit.polyring import (BudgetExceededError, Polynomial,
-                              QuotientContext, RingContext, parse_vector)
+from frobkit.gamma import (GammaSheaf, gamma_structure_violations,
+                          gen_stable_dimension)
+from frobkit.polyring import (BudgetExceededError, FreeVector, Polynomial,
+                              QuotientContext, RingContext, parse_vector,
+                              saturate)
 
 
 def run_cli(tmp_path, capsys, data, *flags):
@@ -52,6 +53,33 @@ def test_chain_budget_stops_nilpotence(tmp_path, capsys):
     assert rec["result"] == {"verdict": "not_nilpotent"}
 
 
+def test_chain_budget_stops_the_kernel_chain(tmp_path, capsys):
+    # the unit root of GF(2)[x]/(x^2) has image dimensions 2, 2: the repeat
+    # at level 2 ends its kernel chain, one level past a budget of 1
+    data = {"field": {"p": 2}, "ring": {"vars": ["x"]}, "ideal": ["x^2"],
+            "objects": {"N": {"gamma": {"rank": 1, "matrix": [["1"]]}}},
+            "commands": [{"op": "gen-dim", "target": "N"},
+                         {"op": "nilpotent", "target": "N"}]}
+    recs = run_cli(tmp_path, capsys, data, "--chain-budget", "1")
+    assert [r["error"] for r in recs] == [
+        "kernel chain did not stop in 1 levels; the last image dimension "
+        "was 2 of dim N = 2"] * 2
+    gen_dim, nilpotent = run_cli(tmp_path, capsys, data)
+    assert gen_dim["result"] == {"dim": 2}
+    assert nilpotent["result"] == {"verdict": "not_nilpotent"}
+    # over GF(2)[x]/(x^5), N = R/(x) with gamma = x (d = 1) runs all its
+    # d + 1 = 2 levels: a budget of 2 is enough, a budget of 1 is not
+    ring = RingContext(FieldSpec(2), ("x",))
+    x = Polynomial.variable(ring, "x")
+    ctx = QuotientContext.from_generators(ring, [x ** 5])
+    n = GammaSheaf.create(ctx, 1, [[x]], [FreeVector.unit(ring, 1, 0, x)])
+    dim = gen_stable_dimension(n)
+    with use_limits(Limits(chain=2)):
+        assert gen_stable_dimension(n) == dim
+    with use_limits(Limits(chain=1)), pytest.raises(BudgetExceededError):
+        gen_stable_dimension(n)
+
+
 def test_guard_stops_artin_schreier(tmp_path, capsys):
     data = xy_session({}, [{"op": "as-kernel", "q": 16}])
     [rec] = run_cli(tmp_path, capsys, data, "--guard", "10")
@@ -82,13 +110,13 @@ def test_every_groebner_path_obeys_the_spair_limit():
                                       parse_vector(ring, 2, "[0, x^2 + x*y]")])
     assert is_nilpotent(m).is_nilpotent
     assert not gamma_structure_violations(n)
-    restrict_to_principal_open(r, x + y)
+    saturate(r.relations, x + y)
     with use_limits(Limits(spair=1)):
         assert is_nilpotent(m).status == "budget_exceeded"
         with pytest.raises(BudgetExceededError):
             gamma_structure_violations(n)
         with pytest.raises(BudgetExceededError):
-            restrict_to_principal_open(r, x + y)
+            saturate(r.relations, x + y)
 
 
 def test_no_function_takes_a_limit():

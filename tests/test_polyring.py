@@ -167,6 +167,15 @@ def test_evaluate_matches_naive_loop():
     with pytest.raises(ValueError, match="another characteristic"):
         Polynomial.variable(RingContext(FieldSpec(5), ("x",)), "x").evaluate(
             (FieldSpec(3).one(),))
+    # one coordinate per variable: zip would drop the extra ones or the
+    # missing variables' factors
+    gf5 = FieldSpec(5)
+    ring = RingContext(gf5, ("x", "y"))
+    x, y = (Polynomial.variable(ring, v) for v in ("x", "y"))
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"{count} coordinates for 2"):
+            (x * y + Polynomial.one(ring)).evaluate(
+                (gf5.from_int(2),) * count)
 
 # ---------------------------------------------------------------------------
 # Groebner bases

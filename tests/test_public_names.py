@@ -21,10 +21,10 @@ PUBLIC = frozenset({
     "CartierModule", "InfiniteDimensionalError", "NilpotenceVerdict",
     "SemilinearEndo", "StableImageResult", "cartier_structure_violations",
     "hom_commuting", "is_crystal_supported_on", "is_nilpotent",
-    "kappa_apply", "nil_isomorphism_test", "restrict_to_principal_open",
-    "stable_image", "volume_cartier_module",
+    "kappa_apply", "nil_isomorphism_test", "stable_image",
+    "volume_cartier_module",
     # gamma
-    "GammaIterate", "GammaSheaf", "gamma_is_nilpotent", "gamma_iterate",
+    "GammaSheaf", "gamma_is_nilpotent", "gamma_iterate",
     "gamma_structure_violations", "gen_stable_dimension", "twist_to_cartier",
     "twist_to_gamma",
     # koszul
