@@ -14,6 +14,18 @@ from .session import SessionError, load_session_file, run_session
 from .verify import run_verify
 
 
+def _positive_int(text: str) -> int:
+    """The type of the limit flags: a positive integer, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frobkit",
@@ -24,11 +36,14 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("session", help="path to a session JSON file")
     runp.add_argument("--out", help="write JSON-lines reports to this path "
                       "instead of stdout")
-    runp.add_argument("--spair-budget", type=int, default=Limits.spair,
+    runp.add_argument("--spair-budget", type=_positive_int,
+                      default=Limits.spair,
                       help="Groebner S-pair budget")
-    runp.add_argument("--chain-budget", type=int, default=Limits.chain,
+    runp.add_argument("--chain-budget", type=_positive_int,
+                      default=Limits.chain,
                       help="image-chain level budget")
-    runp.add_argument("--guard", type=int, default=Limits.guard,
+    runp.add_argument("--guard", type=_positive_int,
+                      default=Limits.guard,
                       help="point/solution enumeration guard")
 
     verp = sub.add_parser("verify", help="run the built-in property battery")

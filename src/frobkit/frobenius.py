@@ -31,20 +31,28 @@ class FrobeniusDecomposition:
         return self.parts.get(tuple(a), Polynomial.zero(self.ctx))
 
     def recompose(self) -> Polynomial:
-        acc = Polynomial.zero(self.ctx)
-        for a, g in self.parts.items():
-            acc = acc + g.frobenius_twist().term_mul(a, self.ctx.field.one())
-        return acc
+        """The sum of g_a^p * x^a, built in one pass: distinct slots (a, b)
+        give distinct exponents p*b + a, so no two terms meet."""
+        p = self.ctx.field.p
+        return Polynomial(self.ctx, {
+            tuple(p * e + r for e, r in zip(b, a)): c ** p
+            for a, g in self.parts.items() for b, c in g.terms.items()},
+            _clean=False)
 
 
 @lru_cache(maxsize=None)
 def _term_loop(nvars: int, take_root: bool, volume: bool = False):
     """The per-term loop of pth_root_decompose, or with volume True that of
     cartier_volume, for a fixed number of variables: exponents are unpacked
-    and the residue and quotient keys are built as tuple displays, which is
-    several times cheaper per term than building them from generator
-    expressions.  With take_root False the coefficients are copied as they
-    are (frobenius_root is the identity over a prime field)."""
+    and the keys are built as tuple displays, which is several times cheaper
+    per term than building them from generator expressions.  With take_root
+    False the coefficients are copied as they are (frobenius_root is the
+    identity over a prime field).
+
+    The decomposition finds a term's slot by the integer whose base-p digits
+    are the residues, and builds the residue tuple only when the slot is new.
+    Each distinct quotient is stored once: every part that holds it keys its
+    term by the same tuple object."""
     es = "".join(f"e{i}, " for i in range(nvars))
     residues = "".join(f"e{i} % p, " for i in range(nvars))
     quotients = "".join(f"e{i} // p, " for i in range(nvars))
@@ -62,14 +70,21 @@ def _term_loop(nvars: int, take_root: bool, volume: bool = False):
     return out
 """
     else:
+        index = "e0 % p"
+        for i in range(1, nvars):
+            index = f"({index}) * p + e{i} % p"
         body = f"""
     parts = {{}}
+    slots = {{}}
+    shared = {{}}
     for ({es}), c in terms.items():
-        a = ({residues})
-        slot = parts.get(a)
+        i = {index}
+        slot = slots.get(i)
         if slot is None:
-            slot = parts[a] = {{}}
-        slot[({quotients})] = {coeff}  # distinct m give distinct (a, root)
+            slot = slots[i] = parts[({residues})] = {{}}
+        q = ({quotients})
+        # distinct m give distinct (a, q)
+        slot[shared.setdefault(q, q)] = {coeff}
     return parts
 """
     namespace: dict = {}
@@ -79,8 +94,11 @@ def _term_loop(nvars: int, take_root: bool, volume: bool = False):
 
 def pth_root_decompose(f: Polynomial) -> FrobeniusDecomposition:
     """Split f by exponent residues mod p.  The term c*x^E lands in the slot
-    a = E mod p as the term frobenius_root(c)*x^((E-a)/p).  The term loop is
-    specialised to the number of variables and cached (see _term_loop)."""
+    a = E mod p as the term frobenius_root(c)*x^((E-a)/p).  The parts, and
+    the terms within each part, come in the order of their first appearance
+    in f.  Parts share their exponent tuples, which are immutable: equal
+    quotients (E-a)/p in different parts are one tuple object.  The term loop
+    is specialised to the number of variables and cached (see _term_loop)."""
     ctx = f.ctx
     loop = _term_loop(ctx.nvars, ctx.field.e > 1)
     parts = loop(f.terms, ctx.field.p, frobenius_root)

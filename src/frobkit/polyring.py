@@ -26,12 +26,20 @@ Monomial = tuple  # exponent vectors; length = number of ring variables
 class Limits:
     """Bounds on the work of one computation: S-pairs reduced per Groebner
     basis, levels of a Cartier image chain, a gamma kernel chain or a
-    saturation, and points or field elements enumerated.  Each limit is
-    read where it is spent, from the limits in force (see use_limits)."""
+    saturation, and points or field elements enumerated.  Each limit is a
+    positive int (not a bool), read where it is spent, from the limits in
+    force (see use_limits)."""
 
     spair: int = 50_000
     chain: int = 64
     guard: int = 10 ** 6
+
+    def __post_init__(self):
+        for name in ("spair", "chain", "guard"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"limit {name} must be a positive int, "
+                                 f"got {value!r}")
 
 
 _LIMITS: ContextVar[Limits] = ContextVar("frobkit_limits", default=Limits())

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -60,8 +61,11 @@ def reference_decompose(f):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(3), FieldSpec(5),
-                                  GF9], ids=["GF2", "GF3", "GF5", "GF9"])
+                                  GF9, FieldSpec(2 ** 61 - 1)],
+                         ids=["GF2", "GF3", "GF5", "GF9", "GF(2^61-1)"])
 def test_decompose_matches_per_term_reference(spec, n):
+    # over GF(2^61 - 1) the exponents lie on both sides of p, and the
+    # residue index of the loop is a big integer
     ring = RingContext(spec, tuple(f"x{i}" for i in range(n)))
     zero = Polynomial.zero(ring)
     assert pth_root_decompose(zero).parts == {}
@@ -69,7 +73,25 @@ def test_decompose_matches_per_term_reference(spec, n):
     rng = random.Random(13 * spec.size + n)
     for _ in range(20):
         f = rand_poly(rng, ring, max_deg=3 * spec.p, terms=12)
-        assert pth_root_decompose(f).parts == reference_decompose(f)
+        parts, ref = pth_root_decompose(f).parts, reference_decompose(f)
+        assert parts == ref
+        # parts and terms come in the reference's order of first appearance
+        assert list(parts) == list(ref)
+        assert all(list(parts[a].terms) == list(g.terms)
+                   for a, g in ref.items())
+
+
+def test_decompose_shares_equal_quotients():
+    # every exponent below 5^2 in three variables over GF(5): each of the
+    # 5^3 quotients occurs in each of the 5^3 parts
+    ring = RingContext(FieldSpec(5), ("x", "y", "z"))
+    one = ring.field.one()
+    f = Polynomial(ring, {m: one for m in product(range(25), repeat=3)})
+    dec = pth_root_decompose(f)
+    keys = [b for g in dec.parts.values() for b in g.terms]
+    assert len(dec.parts) == 125 and len(keys) == 25 ** 3
+    assert len({id(b) for b in keys}) == len(set(keys)) == 125
+    assert dec.recompose() == f
 
 
 def test_dual_basis_delta():

@@ -139,3 +139,11 @@ def test_no_function_takes_a_limit():
                               for p in inspect.signature(fn).parameters
                               if p in names]
     assert not found, f"{len(found)} limit parameters: {found}"
+
+
+@pytest.mark.parametrize("name", ["spair", "chain", "guard"])
+@pytest.mark.parametrize("value", [0, -3, True, 2.0, "5", None])
+def test_limits_refuse_what_is_not_a_positive_int(name, value):
+    with pytest.raises(ValueError, match=f"limit {name} must be a positive"):
+        Limits(**{name: value})
+    assert getattr(Limits(**{name: 1}), name) == 1

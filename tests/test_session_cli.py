@@ -397,6 +397,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--spair-budget", "--chain-budget",
+                                  "--guard"])
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+def test_limit_flags_take_positive_integers(tmp_path, capsys, flag, value):
+    # a usage error before the session file is read: the file need not exist
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(tmp_path / "absent.json"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and value in err
+
+
 def rejected(tmp_path, capsys, data, *flags) -> str:
     """The message of the one structured error record `frobkit run` prints
     for a session it cannot load, with exit code 2."""
