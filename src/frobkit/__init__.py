@@ -5,11 +5,11 @@ and solution spaces at rational points."""
 
 from .field import FieldElement, FieldSpec, frobenius_root
 from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
-                       Limits, ParseError, Polynomial, QuotientContext,
-                       RingContext, buchberger, format_polynomial,
-                       format_vector, is_regular_sequence, module_buchberger,
-                       module_quotient, module_staircase, normal_form,
-                       parse_polynomial, parse_vector, saturate,
+                       GuardExceededError, Limits, ParseError, Polynomial,
+                       QuotientContext, RingContext, buchberger,
+                       format_polynomial, format_vector, is_regular_sequence,
+                       module_buchberger, module_quotient, module_staircase,
+                       normal_form, parse_polynomial, parse_vector, saturate,
                        submodule_equal, use_limits)
 from .frobenius import (FrobeniusDecomposition, cartier_volume,
                         pth_root_decompose)
@@ -25,8 +25,8 @@ from .gamma import (GammaSheaf, gamma_is_nilpotent, gamma_iterate,
 from .koszul import (ClosedImmersion, TransitionMatrix, cartier_pullback,
                      check_pullback_twist_commutes, dualizing_module,
                      gamma_pullback, transition_factor)
-from .solutions import (FiberDegenerationError, GuardExceededError,
-                        RationalPoint, SolutionSpace, artin_schreier_kernel,
+from .solutions import (FiberDegenerationError, RationalPoint,
+                        SolutionSpace, artin_schreier_kernel,
                         enumerate_points, point_field, solutions_at_point)
 
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ kappa, the descending image chain and its stable limit, nilpotence and
 crystal-level tests (support on V(J) through the saturation of the
 relations), and a finite-dimensional tier of p^(-1)-linear operators on k^d:
 their image chain, the maps that commute with two of them, and the
-nil-isomorphism test.
+nil-isomorphism test.  The image chain starts at M, whose preimage in P^s
+is all of P^s with the unit vectors as reduced basis, so that level needs no
+Groebner basis computation.
 """
 from __future__ import annotations
 
@@ -55,10 +57,6 @@ class NilpotenceVerdict:
     @property
     def is_nilpotent(self) -> bool:
         return self.status == "nilpotent"
-
-    @property
-    def conclusive(self) -> bool:
-        return self.status in ("nilpotent", "not_nilpotent")
 
     def to_json(self) -> dict:
         out = {"verdict": self.status}
@@ -159,12 +157,6 @@ class StableImageResult:
     stable: GroebnerBasis
 
 
-def _full_module_basis(m: CartierModule) -> GroebnerBasis:
-    gens = [FreeVector.unit(m.ring, m.rank, j) for j in range(m.rank)]
-    gens.extend(m.relations.generators)
-    return module_buchberger(gens, m.rank, m.ring)
-
-
 def stable_image(m: CartierModule) -> StableImageResult:
     """Compute the chain M >= kappa(F_*M) >= kappa^2(F_*^2 M) >= ... until two
     consecutive levels generate the same submodule; the chain is constant from
@@ -172,7 +164,8 @@ def stable_image(m: CartierModule) -> StableImageResult:
     after ``current_limits().chain`` levels."""
     max_levels = current_limits().chain
     one = m.ring.field.one()
-    chain = [_full_module_basis(m)]
+    chain = [GroebnerBasis(m.ring, m.rank, tuple(
+        FreeVector.unit(m.ring, m.rank, j) for j in range(m.rank)))]
     for level in range(1, max_levels + 1):
         gens = list(m.relations.generators)
         for u in chain[-1].generators:

@@ -14,40 +14,46 @@ from .session import SessionError, load_session_file, run_session
 from .verify import run_verify
 
 
-def _positive_int(text: str) -> int:
-    """The type of the limit flags: a positive integer, or a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_from(low: int, what: str):
+    """The type of an integer flag: an int >= ``low``, or a usage error that
+    says it must be ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frobkit",
         description="exact computations with Frobenius-semilinear operators")
+    positive = _int_from(1, "positive")
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute a session file")
     runp.add_argument("session", help="path to a session JSON file")
     runp.add_argument("--out", help="write JSON-lines reports to this path "
                       "instead of stdout")
-    runp.add_argument("--spair-budget", type=_positive_int,
+    runp.add_argument("--spair-budget", type=positive,
                       default=Limits.spair,
                       help="Groebner S-pair budget")
-    runp.add_argument("--chain-budget", type=_positive_int,
+    runp.add_argument("--chain-budget", type=positive,
                       default=Limits.chain,
                       help="image-chain level budget")
-    runp.add_argument("--guard", type=_positive_int,
+    runp.add_argument("--guard", type=positive,
                       default=Limits.guard,
-                      help="point/solution enumeration guard")
+                      help="enumeration guard: points, solutions and "
+                      "staircase monomials")
 
     verp = sub.add_parser("verify", help="run the built-in property battery")
-    verp.add_argument("--seed", type=int, default=0,
+    verp.add_argument("--seed", type=_int_from(0, "a non-negative integer"),
+                      default=0,
                       help="seed for the random instance sets")
     verp.add_argument("--quick", action="store_true",
                       help="run the fast subset only")

@@ -358,14 +358,19 @@ class FieldElement:
             return spec.zero() if n else spec.one()
         if n < 0:
             return self.inverse() ** (-n)
-        result = spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, spec.one())
+
+
+def power(x, n: int, one):
+    """x ** n for n >= 0 by square-and-multiply from ``one``; the one loop
+    behind FieldElement.__pow__ and Polynomial.__pow__."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 def frobenius(a: FieldElement) -> FieldElement:

@@ -56,11 +56,17 @@ def twisted_relations(n: GammaSheaf, level: int) -> GroebnerBasis:
     """Presentation of the level-fold Frobenius pullback F^(level)*N: the
     [p^level]-twists of the relations together with I e_j.  A member of
     I P^s twists into I P^s, so only the relations' normal forms mod I that
-    are not zero are twisted; for free N none is."""
+    are not zero are twisted."""
+    return n.ctx.module_relations(
+        n.rank, (_twist_vector(v, level) for v in _reduced_relations(n)))
+
+
+def _reduced_relations(n: GammaSheaf) -> list[FreeVector]:
+    """The normal forms mod I of the relation generators that are not zero:
+    none exactly when the relations are I P^s, that is when N = R^s."""
     reduced = (FreeVector(n.ring, (n.ctx.nf(c) for c in g.comps))
                for g in n.relations.generators)
-    return n.ctx.module_relations(
-        n.rank, (_twist_vector(v, level) for v in reduced if v))
+    return [v for v in reduced if v]
 
 
 def gamma_structure_violations(n: GammaSheaf) -> list[int]:
@@ -136,9 +142,7 @@ def _kernel_chain(n: GammaSheaf) -> list:
     finite-dimensional N, up to the stopping rule and the limit of
     gen_stable_dimension."""
     d = len(module_staircase(n.relations, n.rank))
-    # N is a quotient of R^s, so it is R^s exactly when dim N = s dim R
-    free = d == n.rank * (n.ctx.dimension() or 0)
-    stop_on_repeat = n.ctx.is_ambient or free
+    stop_on_repeat = n.ctx.is_ambient or not _reduced_relations(n)
     levels = max(1, d) + 1
     limit = current_limits().chain
     chain = []

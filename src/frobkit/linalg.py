@@ -1,5 +1,7 @@
 """Dense exact linear algebra over GF(p^e) (and over the prime field for
-restriction-of-scalars computations).  Matrices are lists of row lists."""
+restriction-of-scalars computations).  Matrices are lists of row lists.  One
+elimination loop, _eliminate, serves rref and nullspace on FieldElements and
+nullspace_mod_p on ints mod p."""
 from __future__ import annotations
 
 from .field import FieldElement, FieldSpec, frobenius_root
@@ -44,12 +46,10 @@ def mat_frobenius_root(a) -> list[list[FieldElement]]:
     return [[frobenius_root(x) for x in row] for row in a]
 
 
-def rref(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _eliminate(mat: list, ncols: int, p: int) -> tuple[list, list[int]]:
+    """Reduce ``mat`` to reduced row echelon form in place; returns (nonzero
+    rows, pivot column list).  The entries are ints mod p when p > 0 and
+    FieldElements when p == 0, as in polyring._reduce_vector."""
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -57,17 +57,26 @@ def rref(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
+        inv = pow(mat[r][c], p - 2, p) if p else mat[r][c].inverse()
+        mat[r] = ([x * inv % p for x in mat[r]] if p
+                  else [x * inv for x in mat[r]])
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                pairs = zip(mat[i], mat[r])
+                mat[i] = ([(x - f * y) % p for x, y in pairs] if p
+                          else [x - f * y for x, y in pairs])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def rref(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
+    mat = [list(r) for r in rows]
+    return _eliminate(mat, len(mat[0]) if mat else 0, 0)
 
 
 def nullspace(a: list[list[FieldElement]], spec: FieldSpec) -> list[list[FieldElement]]:
@@ -89,31 +98,13 @@ def nullspace(a: list[list[FieldElement]], spec: FieldSpec) -> list[list[FieldEl
 
 def nullspace_mod_p(a: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis of the nullspace of an integer matrix over GF(p)."""
-    mat = [[x % p for x in row] for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    mat = mat[:r]
+    red, pivots = _eliminate([[x % p for x in row] for row in a], ncols, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         x = [0] * ncols
         x[f] = 1
-        for row, c in zip(mat, pivots):
+        for row, c in zip(red, pivots):
             x[c] = -row[f] % p
         basis.append(x)
     return basis

@@ -14,10 +14,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from operator import add, le, neg, sub
 from typing import Iterable, Optional
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, power
 
 Monomial = tuple  # exponent vectors; length = number of ring variables
 
@@ -62,6 +63,10 @@ def use_limits(limits: Limits):
 
 class BudgetExceededError(RuntimeError):
     """An S-pair or iteration budget was exhausted before completion."""
+
+
+class GuardExceededError(RuntimeError):
+    """An enumeration guard was exceeded."""
 
 
 class RankMismatchError(ValueError):
@@ -280,14 +285,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Polynomial.one(self.ctx))
 
     def frobenius_twist(self, k: int = 1) -> "Polynomial":
         """Coefficients to the p^k, exponents times p^k (equals f^(p^k) in
@@ -433,9 +431,6 @@ class GroebnerBasis:
         if self.rank != 1:
             raise RankMismatchError("polys view requires rank 1")
         return [g.comps[0] for g in self.generators]
-
-    def is_zero(self) -> bool:
-        return not self.generators
 
     def is_unit_ideal(self) -> bool:
         return (self.rank == 1 and len(self.generators) == 1
@@ -751,13 +746,16 @@ def is_regular_sequence(seq: list[Polynomial], ctx: RingContext) -> bool:
 # quotient contexts and staircases
 
 def module_staircase(gb: GroebnerBasis, rank: int) -> Optional[list[tuple[int, Monomial]]]:
-    """Monomial basis (j, x^b) of P^rank / <gb>, or None when infinite."""
+    """Monomial basis (j, x^b) of P^rank / <gb>, or None when infinite.
+    Raises GuardExceededError before enumerating boxes that hold more than
+    ``current_limits().guard`` monomials in all."""
     ctx = gb.ctx
     n = ctx.nvars
     leads: dict[int, list[Monomial]] = {j: [] for j in range(rank)}
     for g in gb.generators:
         j, m, _ = g.leading()
         leads[j].append(m)
+    guard, size = current_limits().guard, 0
     out: list[tuple[int, Monomial]] = []
     for j in range(rank):
         ms = leads[j]
@@ -771,6 +769,10 @@ def module_staircase(gb: GroebnerBasis, rank: int) -> Optional[list[tuple[int, M
             if not pure:
                 return None
             bounds.append(min(pure))
+        size += prod(bounds)
+        if size > guard:
+            raise GuardExceededError(f"staircase box of {size} monomials "
+                                     f"exceeds the guard {guard}")
         for b in product(*(range(bd) for bd in bounds)):
             if not any(mono_divides(m, b) for m in ms):
                 out.append((j, b))
@@ -805,19 +807,6 @@ class QuotientContext:
 
     def nf(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.ideal_gb)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.nf(f).is_zero()
-
-    def staircase(self) -> Optional[list[Monomial]]:
-        st = module_staircase(self.ideal_gb, 1)
-        if st is None:
-            return None
-        return [m for _, m in st]
-
-    def dimension(self) -> Optional[int]:
-        st = self.staircase()
-        return None if st is None else len(st)
 
     @property
     def is_ambient(self) -> bool:

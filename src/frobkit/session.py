@@ -18,13 +18,13 @@ from .gamma import (GammaSheaf, gamma_is_nilpotent, gamma_structure_violations,
 from .koszul import (ClosedImmersion, cartier_pullback,
                      check_pullback_twist_commutes, dualizing_module,
                      gamma_pullback, transition_factor)
-from .polyring import (BudgetExceededError, Limits, ParseError,
-                       QuotientContext, RingContext, buchberger,
+from .polyring import (BudgetExceededError, GuardExceededError, Limits,
+                       ParseError, QuotientContext, RingContext, buchberger,
                        format_polynomial, format_vector, parse_polynomial,
                        parse_vector, use_limits)
-from .solutions import (GuardExceededError, RationalPoint,
-                        artin_schreier_kernel, enumerate_points,
-                        resolve_point_field, solutions_at_point)
+from .solutions import (RationalPoint, artin_schreier_kernel,
+                        enumerate_points, resolve_point_field,
+                        solutions_at_point)
 
 
 class SessionError(ValueError):
@@ -392,7 +392,7 @@ def run_session(data: dict, limits: Optional[Limits] = None) -> list[dict]:
                 record["status"] = "ok"
             except Exception as exc:  # structured errors, never a bare crash
                 record["status"] = "error"
-                record["error"] = str(exc)
+                record["error"] = str(exc) or type(exc).__name__
             reports.append(record)
     return reports
 

@@ -12,11 +12,7 @@ from itertools import product
 from .field import FieldElement, FieldSpec, _is_irreducible
 from .gamma import GammaSheaf
 from .linalg import nullspace_mod_p
-from .polyring import QuotientContext, current_limits
-
-
-class GuardExceededError(RuntimeError):
-    """An enumeration guard was exceeded."""
+from .polyring import GuardExceededError, QuotientContext, current_limits
 
 
 class FiberDegenerationError(ValueError):

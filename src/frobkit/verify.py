@@ -24,11 +24,11 @@ from .gamma import (GammaSheaf, _twist_vector, twist_to_cartier,
                     twist_to_gamma)
 from .koszul import (ClosedImmersion, check_pullback_twist_commutes,
                      transition_factor)
-from .polyring import (FreeVector, Polynomial, QuotientContext, RingContext,
-                       current_limits, module_staircase)
-from .solutions import (GuardExceededError, RationalPoint, _check_fiber,
-                        artin_schreier_kernel, enumerate_points,
-                        solutions_at_point)
+from .polyring import (FreeVector, GuardExceededError, Polynomial,
+                       QuotientContext, RingContext, current_limits,
+                       module_staircase)
+from .solutions import (RationalPoint, _check_fiber, artin_schreier_kernel,
+                        enumerate_points, solutions_at_point)
 
 
 def random_polynomial(rng: random.Random, ctx: RingContext, max_deg: int = 3,

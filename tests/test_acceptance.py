@@ -186,7 +186,9 @@ def test_criterion_06_nilpotence_oracle_equivalence(capsys):
                     m = twist_to_cartier(n, im)
                     chain = is_nilpotent(m)
                     dense = semilinear_nilpotent(to_semilinear(m))
-                    assert chain.conclusive and dense.conclusive
+                    conclusive = ("nilpotent", "not_nilpotent")
+                    assert chain.status in conclusive
+                    assert dense.status in conclusive
                     assert chain.is_nilpotent == dense.is_nilpotent
                     checked += 1
         assert checked >= 50

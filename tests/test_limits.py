@@ -93,14 +93,35 @@ def test_guard_stops_point_enumeration(tmp_path, capsys):
     assert rec["error"] == "64 candidate points exceed the guard 10"
 
 
+def test_guard_stops_staircase_enumeration(tmp_path, capsys):
+    # gen-dim of the unit root lists the staircase of R^1 = R: unguarded, a
+    # box of 3000^2 monomials ran past 20 s, and one of 10^8 ran out of memory
+    unit = {"N": {"gamma": {"rank": 1, "matrix": [["1"]]}}}
+    gen_dim = [{"op": "gen-dim", "target": "N"}]
+    square = dict(xy_session(unit, gen_dim), ideal=["x^3000", "y^3000"])
+    [rec] = run_cli(tmp_path, capsys, square)
+    assert rec["error"] == ("staircase box of 9000000 monomials exceeds the "
+                            "guard 1000000")
+    line = {"field": {"p": 2}, "ring": {"vars": ["x"]},
+            "ideal": ["x^100000000"], "objects": unit, "commands": gen_dim}
+    [rec] = run_cli(tmp_path, capsys, line)
+    assert rec["error"] == ("staircase box of 100000000 monomials exceeds "
+                            "the guard 1000000")
+    small = dict(xy_session(unit, gen_dim), ideal=["x^3", "y^3"])
+    [rec] = run_cli(tmp_path, capsys, small, "--guard", "9")
+    assert rec["result"] == {"dim": 9}
+    [rec] = run_cli(tmp_path, capsys, small, "--guard", "8")
+    assert rec["error"] == "staircase box of 9 monomials exceeds the guard 8"
+
+
 def test_every_groebner_path_obeys_the_spair_limit():
     ring = RingContext(FieldSpec(2), ("x", "y"))
     ctx = QuotientContext.trivial(ring)
     x, y = (Polynomial.variable(ring, v) for v in ("x", "y"))
-    # the basis of all of P^2 plus these relations takes two S-pairs; the
-    # image chain of the zero operator takes none after it
-    m = CartierModule.create(ctx, 2, [parse_vector(ring, 2, "[x^2, 0]"),
-                                      parse_vector(ring, 2, "[0, x^2]")])
+    # each level of the image chain of the zero operator is the basis of
+    # these relations, which takes two S-pairs
+    m = CartierModule.create(ctx, 1, [parse_vector(ring, 1, t)
+                                      for t in ("x^2", "x*y", "y^2")])
     # the [2]-twists of these relations take two S-pairs
     n = GammaSheaf.create(ctx, 1, [[Polynomial.zero(ring)]],
                           [parse_vector(ring, 1, "x^2 + y"),

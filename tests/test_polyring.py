@@ -611,12 +611,12 @@ def test_quotient_context_and_staircase():
     ring = RingContext(FieldSpec(3), ("x",))
     x = Polynomial.variable(ring, "x")
     ctx = QuotientContext.from_generators(ring, [x ** 4])
-    assert ctx.dimension() == 4
+    assert len(module_staircase(ctx.ideal_gb, 1)) == 4
     assert ctx.nf(x ** 5).is_zero()  # x^4 divides x^5
     assert ctx.nf(x ** 3) == x ** 3
-    assert ctx.contains(x ** 4 * (x + Polynomial.one(ring)))
+    assert ctx.nf(x ** 4 * (x + Polynomial.one(ring))).is_zero()
     amb = QuotientContext.trivial(ring)
-    assert amb.staircase() is None
+    assert module_staircase(amb.ideal_gb, 1) is None
 
 
 def test_module_staircase(ring2):

@@ -9,8 +9,9 @@ PUBLIC = frozenset({
     # field
     "FieldElement", "FieldSpec", "frobenius_root",
     # polyring
-    "BudgetExceededError", "FreeVector", "GroebnerBasis", "Limits",
-    "ParseError", "Polynomial", "QuotientContext", "RingContext",
+    "BudgetExceededError", "FreeVector", "GroebnerBasis",
+    "GuardExceededError", "Limits", "ParseError", "Polynomial",
+    "QuotientContext", "RingContext",
     "buchberger", "format_polynomial", "format_vector", "is_regular_sequence",
     "module_buchberger", "module_quotient", "module_staircase", "normal_form",
     "parse_polynomial", "parse_vector", "saturate", "submodule_equal",
@@ -32,9 +33,9 @@ PUBLIC = frozenset({
     "check_pullback_twist_commutes", "dualizing_module", "gamma_pullback",
     "transition_factor",
     # solutions
-    "FiberDegenerationError", "GuardExceededError", "RationalPoint",
-    "SolutionSpace", "artin_schreier_kernel", "enumerate_points",
-    "point_field", "solutions_at_point",
+    "FiberDegenerationError", "RationalPoint", "SolutionSpace",
+    "artin_schreier_kernel", "enumerate_points", "point_field",
+    "solutions_at_point",
 })
 
 

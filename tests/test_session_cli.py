@@ -409,6 +409,26 @@ def test_limit_flags_take_positive_integers(tmp_path, capsys, flag, value):
     assert f"argument {flag}" in err and value in err
 
 
+@pytest.mark.parametrize("value", ["-1", "2.5", "many"])
+def test_verify_seed_takes_a_non_negative_integer(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quick", "--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and value in err
+
+
+def test_error_without_text_names_its_type(monkeypatch):
+    def out_of_memory(n):
+        raise MemoryError()
+
+    monkeypatch.setattr("frobkit.session.gen_stable_dimension",
+                        out_of_memory)
+    [rec] = run_session(base_session(commands=[{"op": "gen-dim",
+                                                "target": "N1"}]))
+    assert rec["status"] == "error" and rec["error"] == "MemoryError"
+
+
 def rejected(tmp_path, capsys, data, *flags) -> str:
     """The message of the one structured error record `frobkit run` prints
     for a session it cannot load, with exit code 2."""
