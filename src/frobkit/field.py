@@ -14,6 +14,7 @@ square-and-multiply.  Prime fields use integer arithmetic mod p.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -361,16 +362,19 @@ class FieldElement:
         return power(self, n, spec.one())
 
 
-def power(x, n: int, one):
-    """x ** n for n >= 0 by square-and-multiply from ``one``; the one loop
-    behind FieldElement.__pow__ and Polynomial.__pow__."""
+def power(x, n: int, one, mul=operator.mul):
+    """x ** n for n >= 0 by square-and-multiply from ``one`` with the product
+    ``mul``: floor(log2 n) squarings and popcount(n) products.  The one loop
+    behind FieldElement.__pow__, Polynomial.__pow__ and the Frobenius of a
+    quotient ring, whose ``mul`` reduces each product."""
     result = one
-    while n:
+    while True:
         if n & 1:
-            result = result * x
-        x = x * x
+            result = mul(result, x)
         n >>= 1
-    return result
+        if not n:
+            return result
+        x = mul(x, x)
 
 
 def frobenius(a: FieldElement) -> FieldElement:

@@ -11,11 +11,18 @@ from functools import lru_cache
 from itertools import product
 
 from .field import frobenius_root
-from .polyring import Monomial, Polynomial, RingContext
+from .polyring import (GuardExceededError, Monomial, Polynomial,
+                       RingContext, current_limits)
 
 
 def residue_exponents(ctx: RingContext):
-    """All exponent vectors a with 0 <= a_i < p (the F_* basis indices)."""
+    """All exponent vectors a with 0 <= a_i < p (the F_* basis indices).
+    Raises GuardExceededError, before listing any, when the p^n vectors
+    exceed ``current_limits().guard``."""
+    size, guard = ctx.field.p ** ctx.nvars, current_limits().guard
+    if size > guard:
+        raise GuardExceededError(f"{size} residue exponents exceed the "
+                                 f"guard {guard}")
     return product(range(ctx.field.p), repeat=ctx.nvars)
 
 

@@ -6,11 +6,12 @@ dimension of the unit module generated by a root.
 """
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
                       NilpotenceVerdict)
+from .field import power
 from .frobenius import cartier_volume, residue_exponents
 from .polyring import (BudgetExceededError, FreeVector, GroebnerBasis,
                        Polynomial, QuotientContext, RankMismatchError,
@@ -48,25 +49,34 @@ class GammaSheaf:
         return self.ctx.ring
 
 
-def _twist_vector(v: FreeVector, k: int) -> FreeVector:
-    return FreeVector(v.ctx, (c.frobenius_twist(k) for c in v.comps))
+def _frobenius(ctx: QuotientContext, f: Polynomial) -> Polynomial:
+    """f^p in normal form mod I, the one action of F on R = P/I: the twist
+    over P, and over P/I square-and-multiply reducing every product mod I,
+    so that no power of degree p is divided by I (Katzman, Schwede 2012)."""
+    if ctx.is_ambient:
+        return f.frobenius_twist()
+    return power(f, ctx.ring.field.p, Polynomial.one(ctx.ring),
+                 lambda g, h: ctx.nf(g * h))
+
+
+def _relation_levels(n: GammaSheaf):
+    """The nonzero normal forms mod I of the relations' [p^e]-twists, for
+    e = 0, 1, ... each the Frobenius of the one before; with I e_j they
+    present F^e*N.  Level 0 is empty exactly when N = R^s."""
+    level = [FreeVector(n.ring, (n.ctx.nf(c) for c in g.comps))
+             for g in n.relations.generators]
+    while True:
+        level = [v for v in level if v]
+        yield level
+        level = [FreeVector(n.ring, (_frobenius(n.ctx, c) for c in v.comps))
+                 for v in level]
 
 
 def twisted_relations(n: GammaSheaf, level: int) -> GroebnerBasis:
     """Presentation of the level-fold Frobenius pullback F^(level)*N: the
-    [p^level]-twists of the relations together with I e_j.  A member of
-    I P^s twists into I P^s, so only the relations' normal forms mod I that
-    are not zero are twisted."""
+    relations' level from _relation_levels together with I e_j."""
     return n.ctx.module_relations(
-        n.rank, (_twist_vector(v, level) for v in _reduced_relations(n)))
-
-
-def _reduced_relations(n: GammaSheaf) -> list[FreeVector]:
-    """The normal forms mod I of the relation generators that are not zero:
-    none exactly when the relations are I P^s, that is when N = R^s."""
-    reduced = (FreeVector(n.ring, (n.ctx.nf(c) for c in g.comps))
-               for g in n.relations.generators)
-    return [v for v in reduced if v]
+        n.rank, next(islice(_relation_levels(n), level, None)))
 
 
 def gamma_structure_violations(n: GammaSheaf) -> list[int]:
@@ -91,29 +101,21 @@ def gamma_structure_violations(n: GammaSheaf) -> list[int]:
 
 def _iterates(n: GammaSheaf):
     """The composite matrices at levels 1, 2, ...: the one at level e + 1 is
-    A^[p^e] times the one at level e, reduced mod I."""
+    the Frobenius of the one at level e times A, reduced mod I."""
     mat = n.matrix
-    for level in count(1):
+    while True:
         yield mat
-        tw = tuple(tuple(x.frobenius_twist(level) for x in row)
-                   for row in n.matrix)
-        nxt = []
-        for i in range(n.rank):
-            row = []
-            for j in range(n.rank):
-                acc = Polynomial.zero(n.ring)
-                for t in range(n.rank):
-                    acc = acc + tw[i][t] * mat[t][j]
-                row.append(n.ctx.nf(acc))
-            nxt.append(tuple(row))
-        mat = tuple(nxt)
+        tw = [[_frobenius(n.ctx, x) for x in row] for row in mat]
+        mat = tuple(tuple(n.ctx.nf(sum((tw[i][t] * n.matrix[t][j]
+                                        for t in range(n.rank)),
+                                       Polynomial.zero(n.ring)))
+                          for j in range(n.rank)) for i in range(n.rank))
 
 
 def gamma_iterate(n: GammaSheaf, e: int) -> tuple:
-    """The matrix of F^(e-1)*gamma o ... o F*gamma o gamma alone.  The
-    library reads the composites from _iterates as it goes; this entry point
-    stays because perfbench/tracing.py times it as ``gamma.iterate`` and
-    tests/test_kernel_chain.py checks the chain against it."""
+    """The matrix of F^(e-1)*gamma o ... o F*gamma o gamma, read from
+    _iterates.  The library does not call it; it stays because
+    perfbench/tracing.py times it and the tests check the chain against it."""
     if e < 1:
         raise ValueError("level must be >= 1")
     return next(islice(_iterates(n), e - 1, None))
@@ -124,10 +126,9 @@ def _columns(n: GammaSheaf, mat: tuple) -> list:
             for j in range(n.rank)]
 
 
-def _image_dimension(n: GammaSheaf, level: int, mat: tuple) -> int:
-    """k-dimension of the image of the composite in F^e*N:
-    dim(P^s/rels_e) - dim(P^s/(columns + rels_e))."""
-    rels = twisted_relations(n, level)
+def _image_dimension(n: GammaSheaf, rels: GroebnerBasis, mat: tuple) -> int:
+    """k-dimension of the image of the composite in F^e*N = P^s/rels:
+    dim(P^s/rels) - dim(P^s/(columns + rels))."""
     amb = module_staircase(rels, n.rank)
     if amb is None:
         raise InfiniteDimensionalError("twisted relations are not "
@@ -137,17 +138,21 @@ def _image_dimension(n: GammaSheaf, level: int, mat: tuple) -> int:
     return len(amb) - len(module_staircase(joint, n.rank))
 
 
-def _kernel_chain(n: GammaSheaf) -> list:
+def _kernel_chain(n: GammaSheaf) -> Optional[list]:
     """(level, composite, image dimension) for e = 1, 2, ... over a
     finite-dimensional N, up to the stopping rule and the limit of
-    gen_stable_dimension."""
-    d = len(module_staircase(n.relations, n.rank))
-    stop_on_repeat = n.ctx.is_ambient or not _reduced_relations(n)
+    gen_stable_dimension; None when N is infinite dimensional."""
+    if (staircase := module_staircase(n.relations, n.rank)) is None:
+        return None
+    d = len(staircase)
+    relations = _relation_levels(n)
+    stop_on_repeat = not next(relations) or n.ctx.is_ambient  # pops level 0
     levels = max(1, d) + 1
     limit = current_limits().chain
     chain = []
-    for level, mat in enumerate(islice(_iterates(n), levels), 1):
-        r = _image_dimension(n, level, mat)
+    for level, mat, rels in zip(range(1, levels + 1), _iterates(n),
+                                relations):
+        r = _image_dimension(n, n.ctx.module_relations(n.rank, rels), mat)
         chain.append((level, mat, r))
         if r == 0 or (stop_on_repeat and level > 1 and r == chain[-2][2]):
             break
@@ -158,11 +163,6 @@ def _kernel_chain(n: GammaSheaf) -> list:
     return chain
 
 
-def _columns_vanish(n: GammaSheaf, level: int, mat: tuple) -> bool:
-    tw = twisted_relations(n, level)
-    return all(normal_form(col, tw).is_zero() for col in _columns(n, mat))
-
-
 def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16) -> NilpotenceVerdict:
     """Smallest e with the e-fold composite vanishing into F^e*N.  When N is
     a finite-dimensional k-space ``e_max`` is not used: the index is the
@@ -170,12 +170,14 @@ def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16) -> NilpotenceVerdict:
     gen_stable_dimension (over P, and for free N, a repeated value means
     equal kernels from then on, hence not nilpotent; see there for why).
     When N is infinite dimensional the search runs over e = 1, ..., e_max."""
-    if module_staircase(n.relations, n.rank) is not None:
-        level, _, r = _kernel_chain(n)[-1]
+    if (chain := _kernel_chain(n)) is not None:
+        level, _, r = chain[-1]
         return (NilpotenceVerdict.nilpotent(level) if r == 0
                 else NilpotenceVerdict.not_nilpotent())
-    for level, mat in enumerate(islice(_iterates(n), e_max), 1):
-        if _columns_vanish(n, level, mat):
+    for level, mat, rels in zip(range(1, e_max + 1), _iterates(n),
+                                islice(_relation_levels(n), 1, None)):
+        tw = n.ctx.module_relations(n.rank, rels)
+        if all(normal_form(col, tw).is_zero() for col in _columns(n, mat)):
             return NilpotenceVerdict.nilpotent(level)
     return NilpotenceVerdict.not_nilpotent_up_to(e_max)
 
@@ -243,7 +245,7 @@ def gen_stable_dimension(n: GammaSheaf) -> int:
     to e = d + 1, which can still be too early where P/I is not regular.
     Raises BudgetExceededError after ``current_limits().chain`` levels that
     have not reached one of these stops."""
-    if module_staircase(n.relations, n.rank) is None:
+    if (chain := _kernel_chain(n)) is None:
         raise InfiniteDimensionalError("gen dimension needs a finite "
                                        "dimensional context")
-    return _kernel_chain(n)[-1][2]
+    return chain[-1][2]

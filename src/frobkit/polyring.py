@@ -287,12 +287,12 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         return power(self, n, Polynomial.one(self.ctx))
 
-    def frobenius_twist(self, k: int = 1) -> "Polynomial":
-        """Coefficients to the p^k, exponents times p^k (equals f^(p^k) in
+    def frobenius_twist(self) -> "Polynomial":
+        """Coefficients to the p, exponents times p (equals f^p in
         characteristic p)."""
-        q = self.ctx.field.p ** k
+        p = self.ctx.field.p
         return Polynomial(self.ctx,
-                          {tuple(e * q for e in m): c ** q
+                          {tuple(e * p for e in m): c ** p
                            for m, c in self.terms.items()}, _clean=False)
 
     def evaluate(self, coords: tuple[FieldElement, ...],

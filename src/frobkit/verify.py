@@ -4,8 +4,8 @@ pullbacks, nilpotence tiers, solution spaces, Hom dimensions).  Used by the
 command line front end; the test suite runs larger versions of the same
 properties.  The independent second routes the checks compare against (the
 dual-basis twist, the dense nilpotence tier, the brute-force solver, the
-decomposition volume operator and the Frobenius twist of a root) are
-defined here and nowhere in the library."""
+decomposition volume operator and the unreduced Frobenius twists of a
+relation and of a root) are defined here and nowhere in the library."""
 from __future__ import annotations
 
 import math
@@ -20,8 +20,7 @@ from .cartier import (CartierModule, InfiniteDimensionalError,
                       semilinear_image_chain, volume_cartier_module)
 from .field import FieldSpec
 from .frobenius import cartier_volume, pth_root_decompose, residue_exponents
-from .gamma import (GammaSheaf, _twist_vector, twist_to_cartier,
-                    twist_to_gamma)
+from .gamma import GammaSheaf, twist_to_cartier, twist_to_gamma
 from .koszul import (ClosedImmersion, check_pullback_twist_commutes,
                      transition_factor)
 from .polyring import (FreeVector, GuardExceededError, Polynomial,
@@ -149,9 +148,19 @@ def cartier_volume_by_decomposition(f: Polynomial) -> Polynomial:
     return pth_root_decompose(f).part(top)
 
 
+def frobenius_twist_vector(v: FreeVector, e: int = 1) -> FreeVector:
+    """Oracle for the relation levels of gamma.twisted_relations: the
+    [p^e]-twist of v over P, each component raised to the p^e-th power by e
+    twists and never reduced mod I."""
+    comps = v.comps
+    for _ in range(e):
+        comps = [c.frobenius_twist() for c in comps]
+    return FreeVector(v.ctx, comps)
+
+
 def frobenius_twist_root(n: GammaSheaf) -> GammaSheaf:
     """(F*N, F*gamma): twist the relations and the matrix entrywise by [p]."""
-    rels = [_twist_vector(g, 1) for g in n.relations.generators]
+    rels = [frobenius_twist_vector(g) for g in n.relations.generators]
     mat = [[x.frobenius_twist() for x in row] for row in n.matrix]
     return GammaSheaf.create(n.ctx, n.rank, mat, rels)
 

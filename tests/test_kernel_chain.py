@@ -182,7 +182,7 @@ def test_non_free_nilpotence_index_past_dim():
 @pytest.mark.xfail(strict=True, reason="the chain of a non-free N over a "
                    "quotient that is not regular stops at e = d + 1 = 2, "
                    "before the composite vanishes; a proven stopping rule "
-                   "is ROADMAP direction 3")
+                   "is ROADMAP direction 2")
 def test_non_free_chain_stops_before_vanishing():
     # over GF(2)[x]/(x^5), N = R/(x) with gamma = x (d = 1) has image
     # dimensions 1, 1, 0: the composite x^7 vanishes at e = 3

@@ -30,7 +30,7 @@ TEXTS = ("0", "1", "x", "x + 1", "x^2", "2*x^3 + x", "[x, 1]", "x+", "z")
 KAPPA_KEYS = ("0,0", "0,1", "1,0", "0,0 1", "0,1 0", "x", "2,0")
 UNDECLARED = ("bnd", "comands", "rnak", "sotre")
 FIELDS = ({"p": 2}, {"p": 3}, {"p": 5}, {"p": 2, "e": 2, "modulus": [1, 1, 1]},
-          {"p": 3, "e": 2, "modulus": [1, 0, 1]})
+          {"p": 3, "e": 2, "modulus": [1, 0, 1]}, {"p": 2305843009213693951})
 
 texts = st.lists(st.sampled_from(TEXTS), max_size=3)
 wrong = st.one_of(
