@@ -179,7 +179,8 @@ def stable_image(m: CartierModule) -> StableImageResult:
             return StableImageResult(tuple(chain) + (nxt,), level - 1, nxt)
         chain.append(nxt)
     raise BudgetExceededError(f"image chain did not stabilize in {max_levels} "
-                              "levels")
+                              "levels; the last level had "
+                              f"{len(chain[-1].generators)} generators")
 
 
 def is_nilpotent(m: CartierModule) -> NilpotenceVerdict:

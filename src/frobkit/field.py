@@ -116,11 +116,7 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     checks = {e // q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)}
     h = x  # x^(p^k) mod m
     for k in range(1, e + 1):
-        power = h
-        for bit in bin(p)[3:]:
-            h = _conv_mul(h, h, modulus, p)
-            if bit == "1":
-                h = _conv_mul(h, power, modulus, p)
+        h = power(h, p - 1, h, lambda a, b: _conv_mul(a, b, modulus, p))
         if k in checks:
             # Euclid on (m, h - x); the gcd is 1 when it ends on a constant
             a, b = list(modulus), list(h)
@@ -365,8 +361,9 @@ class FieldElement:
 def power(x, n: int, one, mul=operator.mul):
     """x ** n for n >= 0 by square-and-multiply from ``one`` with the product
     ``mul``: floor(log2 n) squarings and popcount(n) products.  The one loop
-    behind FieldElement.__pow__, Polynomial.__pow__ and the Frobenius of a
-    quotient ring, whose ``mul`` reduces each product."""
+    behind FieldElement.__pow__, Polynomial.__pow__, Rabin's irreducibility
+    test and the Frobenius of a quotient ring, whose ``mul`` reduces each
+    product."""
     result = one
     while True:
         if n & 1:

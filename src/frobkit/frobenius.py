@@ -11,18 +11,14 @@ from functools import lru_cache
 from itertools import product
 
 from .field import frobenius_root
-from .polyring import (GuardExceededError, Monomial, Polynomial,
-                       RingContext, current_limits)
+from .polyring import Monomial, Polynomial, RingContext, check_guard
 
 
 def residue_exponents(ctx: RingContext):
     """All exponent vectors a with 0 <= a_i < p (the F_* basis indices).
     Raises GuardExceededError, before listing any, when the p^n vectors
     exceed ``current_limits().guard``."""
-    size, guard = ctx.field.p ** ctx.nvars, current_limits().guard
-    if size > guard:
-        raise GuardExceededError(f"{size} residue exponents exceed the "
-                                 f"guard {guard}")
+    check_guard(ctx.field.p ** ctx.nvars, "{} residue exponents exceed")
     return product(range(ctx.field.p), repeat=ctx.nvars)
 
 
@@ -36,15 +32,6 @@ class FrobeniusDecomposition:
 
     def part(self, a: Monomial) -> Polynomial:
         return self.parts.get(tuple(a), Polynomial.zero(self.ctx))
-
-    def recompose(self) -> Polynomial:
-        """The sum of g_a^p * x^a, built in one pass: distinct slots (a, b)
-        give distinct exponents p*b + a, so no two terms meet."""
-        p = self.ctx.field.p
-        return Polynomial(self.ctx, {
-            tuple(p * e + r for e, r in zip(b, a)): c ** p
-            for a, g in self.parts.items() for b, c in g.terms.items()},
-            _clean=False)
 
 
 @lru_cache(maxsize=None)

@@ -121,42 +121,41 @@ def gamma_iterate(n: GammaSheaf, e: int) -> tuple:
     return next(islice(_iterates(n), e - 1, None))
 
 
-def _columns(n: GammaSheaf, mat: tuple) -> list:
-    return [FreeVector(n.ring, (mat[i][j] for i in range(n.rank)))
-            for j in range(n.rank)]
-
-
-def _image_dimension(n: GammaSheaf, rels: GroebnerBasis, mat: tuple) -> int:
-    """k-dimension of the image of the composite in F^e*N = P^s/rels:
-    dim(P^s/rels) - dim(P^s/(columns + rels))."""
-    amb = module_staircase(rels, n.rank)
-    if amb is None:
-        raise InfiniteDimensionalError("twisted relations are not "
-                                       "finite dimensional")
-    joint = module_buchberger(list(rels.generators) + _columns(n, mat),
-                              n.rank, n.ring)
-    return len(amb) - len(module_staircase(joint, n.rank))
-
-
-def _kernel_chain(n: GammaSheaf) -> Optional[list]:
-    """(level, composite, image dimension) for e = 1, 2, ... over a
-    finite-dimensional N, up to the stopping rule and the limit of
-    gen_stable_dimension; None when N is infinite dimensional."""
-    if (staircase := module_staircase(n.relations, n.rank)) is None:
+def _kernel_chain(n: GammaSheaf,
+                  e_max: Optional[int] = None) -> Optional[list]:
+    """The one walk over the levels: (level, composite, image dimension r)
+    for e = 1, 2, ...  Each level first reduces the composite's columns
+    modulo F^e*N, and r = 0 when all vanish; only a nonzero image of a
+    finite-dimensional N lists staircases (F^e*N has the support of N, so
+    it is finite too).  Over a finite-dimensional N the walk obeys the
+    stopping rule and the limit of gen_stable_dimension and ignores
+    ``e_max``.  Over an infinite-dimensional N a nonzero image records None
+    and the walk runs to e_max, or is None without one."""
+    staircase = module_staircase(n.relations, n.rank)
+    if staircase is None and e_max is None:
         return None
-    d = len(staircase)
+    d = None if staircase is None else len(staircase)
+    levels, limit = ((e_max, e_max) if d is None
+                     else (max(1, d) + 1, current_limits().chain))
     relations = _relation_levels(n)
     stop_on_repeat = not next(relations) or n.ctx.is_ambient  # pops level 0
-    levels = max(1, d) + 1
-    limit = current_limits().chain
     chain = []
     for level, mat, rels in zip(range(1, levels + 1), _iterates(n),
                                 relations):
-        r = _image_dimension(n, n.ctx.module_relations(n.rank, rels), mat)
+        tw = n.ctx.module_relations(n.rank, rels)
+        cols = [FreeVector(n.ring, (mat[i][j] for i in range(n.rank)))
+                for j in range(n.rank)]
+        r = 0 if all(normal_form(c, tw).is_zero() for c in cols) else None
+        if r is None and d is not None:
+            joint = module_buchberger(list(tw.generators) + cols, n.rank,
+                                      n.ring)
+            r = (len(module_staircase(tw, n.rank))
+                 - len(module_staircase(joint, n.rank)))
         chain.append((level, mat, r))
-        if r == 0 or (stop_on_repeat and level > 1 and r == chain[-2][2]):
+        if r == 0 or (stop_on_repeat and r and level > 1
+                      and r == chain[-2][2]):
             break
-        if level >= limit and level < levels:
+        if limit <= level < levels:
             raise BudgetExceededError(
                 f"kernel chain did not stop in {limit} levels; the last "
                 f"image dimension was {r} of dim N = {d}")
@@ -164,22 +163,19 @@ def _kernel_chain(n: GammaSheaf) -> Optional[list]:
 
 
 def gamma_is_nilpotent(n: GammaSheaf, e_max: int = 16) -> NilpotenceVerdict:
-    """Smallest e with the e-fold composite vanishing into F^e*N.  When N is
-    a finite-dimensional k-space ``e_max`` is not used: the index is the
-    level of the first image dimension 0 under the stopping rule of
-    gen_stable_dimension (over P, and for free N, a repeated value means
-    equal kernels from then on, hence not nilpotent; see there for why).
-    When N is infinite dimensional the search runs over e = 1, ..., e_max."""
-    if (chain := _kernel_chain(n)) is not None:
-        level, _, r = chain[-1]
-        return (NilpotenceVerdict.nilpotent(level) if r == 0
-                else NilpotenceVerdict.not_nilpotent())
-    for level, mat, rels in zip(range(1, e_max + 1), _iterates(n),
-                                islice(_relation_levels(n), 1, None)):
-        tw = n.ctx.module_relations(n.rank, rels)
-        if all(normal_form(col, tw).is_zero() for col in _columns(n, mat)):
-            return NilpotenceVerdict.nilpotent(level)
-    return NilpotenceVerdict.not_nilpotent_up_to(e_max)
+    """Smallest e with the e-fold composite vanishing into F^e*N, read from
+    the last level of _kernel_chain.  When N is a finite-dimensional k-space
+    ``e_max`` is not used: the index is the level of the first image
+    dimension 0 under the stopping rule of gen_stable_dimension (over P, and
+    for free N, a repeated value means equal kernels from then on, hence not
+    nilpotent; see there for why).  When N is infinite dimensional the
+    search runs over e = 1, ..., e_max."""
+    chain = _kernel_chain(n, e_max)
+    r = chain[-1][2] if chain else None
+    if r == 0:
+        return NilpotenceVerdict.nilpotent(chain[-1][0])
+    return (NilpotenceVerdict.not_nilpotent() if r
+            else NilpotenceVerdict.not_nilpotent_up_to(e_max))
 
 
 # ---------------------------------------------------------------------------

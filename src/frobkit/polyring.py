@@ -50,6 +50,14 @@ def current_limits() -> Limits:
     return _LIMITS.get()
 
 
+def check_guard(size: int, what: str) -> None:
+    """Raise GuardExceededError when ``size`` exceeds the guard G in force,
+    with the message ``what.format(size)`` followed by "the guard G"."""
+    guard = current_limits().guard
+    if size > guard:
+        raise GuardExceededError(f"{what.format(size)} the guard {guard}")
+
+
 @contextmanager
 def use_limits(limits: Limits):
     """Put ``limits`` in force for the code run inside the block, like
@@ -720,7 +728,8 @@ def saturate(n: GroebnerBasis, h: Polynomial) -> GroebnerBasis:
             return cur
         cur = nxt
     raise BudgetExceededError("saturation did not stabilize within "
-                              f"{max_rounds} rounds")
+                              f"{max_rounds} rounds; the last quotient had "
+                              f"{len(cur.generators)} generators")
 
 
 def is_regular_sequence(seq: list[Polynomial], ctx: RingContext) -> bool:
@@ -755,7 +764,7 @@ def module_staircase(gb: GroebnerBasis, rank: int) -> Optional[list[tuple[int, M
     for g in gb.generators:
         j, m, _ = g.leading()
         leads[j].append(m)
-    guard, size = current_limits().guard, 0
+    size = 0
     out: list[tuple[int, Monomial]] = []
     for j in range(rank):
         ms = leads[j]
@@ -770,9 +779,7 @@ def module_staircase(gb: GroebnerBasis, rank: int) -> Optional[list[tuple[int, M
                 return None
             bounds.append(min(pure))
         size += prod(bounds)
-        if size > guard:
-            raise GuardExceededError(f"staircase box of {size} monomials "
-                                     f"exceeds the guard {guard}")
+        check_guard(size, "staircase box of {} monomials exceeds")
         for b in product(*(range(bd) for bd in bounds)):
             if not any(mono_divides(m, b) for m in ms):
                 out.append((j, b))

@@ -12,7 +12,7 @@ from itertools import product
 from .field import FieldElement, FieldSpec, _is_irreducible
 from .gamma import GammaSheaf
 from .linalg import nullspace_mod_p
-from .polyring import GuardExceededError, QuotientContext, current_limits
+from .polyring import GuardExceededError, QuotientContext, check_guard
 
 
 class FiberDegenerationError(ValueError):
@@ -72,10 +72,7 @@ def resolve_point_field(base: FieldSpec, m: int) -> FieldSpec:
     """The field of points with coordinates in GF(p^m) over ``base``.
     Raises GuardExceededError when p^m exceeds ``current_limits().guard``
     (checked first: finding the modulus of GF(p^m) is itself a search)."""
-    size, guard = base.p ** m, current_limits().guard
-    if size > guard:
-        raise GuardExceededError(f"point field of size {size} exceeds the "
-                                 f"guard {guard}")
+    check_guard(base.p ** m, "point field of size {} exceeds")
     if base.e > 1:
         # extension base fields: points carry coordinates in the base field
         # itself, so only m = e is available
@@ -90,12 +87,9 @@ def enumerate_points(ctx: QuotientContext, m: int) -> list[RationalPoint]:
     """All alpha in (GF(p^m))^n at which every ideal generator vanishes.
     Raises GuardExceededError when the p^(m*n) candidates exceed
     ``current_limits().guard``."""
-    guard = current_limits().guard
     base = ctx.ring.field
     n = ctx.ring.nvars
-    if base.p ** (m * n) > guard:
-        raise GuardExceededError(f"{base.p ** (m * n)} candidate points "
-                                 f"exceed the guard {guard}")
+    check_guard(base.p ** (m * n), "{} candidate points exceed")
     spec = resolve_point_field(base, m)
     gens = [g.comps[0] for g in ctx.ideal_gb.generators]
     out = []
@@ -160,8 +154,7 @@ def artin_schreier_kernel(q: int) -> int:
     field, so the answer is 1 for every prime power q."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    if q > current_limits().guard:
-        raise GuardExceededError(f"field of size {q} exceeds the guard")
+    check_guard(q, "field of size {} exceeds")
     p = next(d for d in range(2, q + 1) if q % d == 0)  # the least is prime
     m = 0
     t = q

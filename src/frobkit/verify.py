@@ -4,8 +4,9 @@ pullbacks, nilpotence tiers, solution spaces, Hom dimensions).  Used by the
 command line front end; the test suite runs larger versions of the same
 properties.  The independent second routes the checks compare against (the
 dual-basis twist, the dense nilpotence tier, the brute-force solver, the
-decomposition volume operator and the unreduced Frobenius twists of a
-relation and of a root) are defined here and nowhere in the library."""
+decomposition volume operator, the recomposition of a decomposition and the
+unreduced Frobenius twists of a relation and of a root) are defined here and
+nowhere in the library."""
 from __future__ import annotations
 
 import math
@@ -19,13 +20,13 @@ from .cartier import (CartierModule, InfiniteDimensionalError,
                       is_nilpotent, kappa_apply, nil_isomorphism_test,
                       semilinear_image_chain, volume_cartier_module)
 from .field import FieldSpec
-from .frobenius import cartier_volume, pth_root_decompose, residue_exponents
+from .frobenius import (FrobeniusDecomposition, cartier_volume,
+                        pth_root_decompose, residue_exponents)
 from .gamma import GammaSheaf, twist_to_cartier, twist_to_gamma
 from .koszul import (ClosedImmersion, check_pullback_twist_commutes,
                      transition_factor)
-from .polyring import (FreeVector, GuardExceededError, Polynomial,
-                       QuotientContext, RingContext, current_limits,
-                       module_staircase)
+from .polyring import (FreeVector, Polynomial, QuotientContext, RingContext,
+                       check_guard, module_staircase)
 from .solutions import (RationalPoint, _check_fiber, artin_schreier_kernel,
                         enumerate_points, solutions_at_point)
 
@@ -121,8 +122,7 @@ def brute_force_solutions(root: GammaSheaf, pt: RationalPoint) -> list[tuple]:
     spec = pt.spec
     s = root.rank
     p = spec.p
-    if spec.size ** s > current_limits().guard:
-        raise GuardExceededError("solution enumeration exceeds the guard")
+    check_guard(spec.size ** s, "{} candidate solutions exceed")
     a_at = _check_fiber(root, pt)
     out = []
     for w in product(list(spec.elements()), repeat=s):
@@ -146,6 +146,17 @@ def cartier_volume_by_decomposition(f: Polynomial) -> Polynomial:
     p = f.ctx.field.p
     top = (p - 1,) * f.ctx.nvars
     return pth_root_decompose(f).part(top)
+
+
+def recompose(dec: FrobeniusDecomposition) -> Polynomial:
+    """Oracle for pth_root_decompose, its round trip: the sum of g_a^p * x^a
+    over the parts, built in one pass (distinct slots (a, b) give distinct
+    exponents p*b + a, so no two terms meet)."""
+    p = dec.ctx.field.p
+    return Polynomial(dec.ctx, {
+        tuple(p * e + r for e, r in zip(b, a)): c ** p
+        for a, g in dec.parts.items() for b, c in g.terms.items()},
+        _clean=False)
 
 
 def frobenius_twist_vector(v: FreeVector, e: int = 1) -> FreeVector:

@@ -75,15 +75,17 @@ def test_large_p_relation_twists_in_the_quotient():
         run_within_a_second(data)
 
 
-def test_large_p_zero_root_loads_and_meets_the_guard():
+def test_large_p_zero_root_vanishes_at_the_first_level():
+    # F*N has dimension about p, but gamma = 0 is decided before any
+    # staircase of it is listed
     ops = [{"op": op, "target": "G"}
            for op in ("validate", "gen-dim", "nilpotent")]
     data = large_p_session(["x^2 + 3*y"], {"rank": 1, "relations": ["[x]"],
                                            "matrix": [["0"]]}, ops)
     valid, gen_dim, nilpotent = run_within_a_second(data)
     assert valid["result"] == {"valid": True, "violations": []}
-    for rec in (gen_dim, nilpotent):
-        assert rec["status"] == "error" and "guard" in rec["error"]
+    assert gen_dim["result"] == {"dim": 0}
+    assert nilpotent["result"] == {"verdict": "nilpotent", "index": 1}
 
 
 @pytest.mark.parametrize("entry, dim, verdict", [

@@ -83,7 +83,7 @@ def test_chain_budget_stops_the_kernel_chain(tmp_path, capsys):
 def test_guard_stops_artin_schreier(tmp_path, capsys):
     data = xy_session({}, [{"op": "as-kernel", "q": 16}])
     [rec] = run_cli(tmp_path, capsys, data, "--guard", "10")
-    assert rec["error"] == "field of size 16 exceeds the guard"
+    assert rec["error"] == "field of size 16 exceeds the guard 10"
 
 
 def test_guard_stops_point_enumeration(tmp_path, capsys):

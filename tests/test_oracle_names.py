@@ -9,7 +9,7 @@ from frobkit import verify
 
 ORACLES = ("dual_basis_twist", "to_semilinear", "semilinear_nilpotent",
            "brute_force_solutions", "cartier_volume_by_decomposition",
-           "frobenius_twist_root", "frobenius_twist_vector")
+           "frobenius_twist_root", "frobenius_twist_vector", "recompose")
 
 
 def test_oracles_are_defined_only_in_verify():
