@@ -6,7 +6,6 @@ dimension of the unit module generated by a root.
 """
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 from .cartier import (CartierModule, InfiniteDimensionalError,
@@ -24,9 +23,18 @@ if TYPE_CHECKING:  # koszul imports this module
 
 class GammaSheaf:
     """The data (N, gamma) with N = P^s/relations (relations contain I e_j)
-    and gamma given by the matrix A with entries in normal form mod I."""
+    and gamma given by the matrix A with entries in normal form mod I.
 
-    __slots__ = ("ctx", "rank", "relations", "matrix")
+    It keeps its walk over the levels F^e*N (_walk), extended only when a
+    reader needs more: 1. every read replays the stopping rule and the chain
+    limit from e = 1; 2. the walk is kept for the Limits it was computed
+    under and started afresh under others, so each answer is a function of
+    the object and the limits; 3. a level is stored only once complete, so
+    a limit spent within one leaves it to be built again, to the same error;
+    4. relations all zero present R^s: by I e_j, built at most once per
+    walk, or by N's own relations when N is free."""
+
+    __slots__ = ("ctx", "rank", "relations", "matrix", "_walk")
 
     def __init__(self, ctx: QuotientContext, rank: int,
                  relations: GroebnerBasis, matrix: tuple):
@@ -34,6 +42,7 @@ class GammaSheaf:
         self.rank = rank
         self.relations = relations
         self.matrix = matrix
+        self._walk = None
 
     @classmethod
     def create(cls, ctx: QuotientContext, rank: int, matrix,
@@ -59,24 +68,45 @@ def _frobenius(ctx: QuotientContext, f: Polynomial) -> Polynomial:
                  lambda g, h: ctx.nf(g * h))
 
 
-def _relation_levels(n: GammaSheaf):
-    """The nonzero normal forms mod I of the relations' [p^e]-twists, for
-    e = 0, 1, ... each the Frobenius of the one before; with I e_j they
-    present F^e*N.  Level 0 is empty exactly when N = R^s."""
-    level = [FreeVector(n.ring, (n.ctx.nf(c) for c in g.comps))
-             for g in n.relations.generators]
-    while True:
-        level = [v for v in level if v]
-        yield level
-        level = [FreeVector(n.ring, (_frobenius(n.ctx, c) for c in v.comps))
-                 for v in level]
+def _walk(n: GammaSheaf) -> tuple[list, list]:
+    """The levels kept on n for the limits in force, or level 0 alone if
+    kept for others.  Level e is (the nonzero normal forms mod I of the
+    relations' [p^e]-twists, the e-fold composite, F^e*N presented by these
+    and I e_j); level 0 is empty exactly when N = R^s.  dims[e] is the
+    e-fold composite's image dimension, dims[0] = dim N (_kernel_chain)."""
+    limits = current_limits()
+    if n._walk is None or n._walk[0] != limits:
+        rels = [FreeVector(n.ring, (n.ctx.nf(c) for c in g.comps))
+                for g in n.relations.generators]
+        n._walk = (limits, [([v for v in rels if v], None, n.relations)], [])
+    return n._walk[1], n._walk[2]
+
+
+def _level(n: GammaSheaf, e: int) -> tuple:
+    """Level e, each missing level built by one Frobenius step from the one
+    before: its relations' step, and the composite (level e)^[p] A mod I.
+    Relations all zero after a level with none keep its presentation."""
+    levels = _walk(n)[0]
+    while len(levels) <= e:
+        rels, mat, tw = levels[-1]
+        step = [FreeVector(n.ring, (_frobenius(n.ctx, c) for c in v.comps))
+                for v in rels]
+        if mat is None:
+            mat = n.matrix
+        else:
+            fm = [[_frobenius(n.ctx, x) for x in row] for row in mat]
+            mat = tuple(tuple(n.ctx.nf(sum((fm[i][t] * n.matrix[t][j]
+                                            for t in range(n.rank)),
+                                           Polynomial.zero(n.ring)))
+                              for j in range(n.rank)) for i in range(n.rank))
+        levels.append(([v for v in step if v], mat,
+                       n.ctx.module_relations(n.rank, step) if rels else tw))
+    return levels[e]
 
 
 def twisted_relations(n: GammaSheaf, level: int) -> GroebnerBasis:
-    """Presentation of the level-fold Frobenius pullback F^(level)*N: the
-    relations' level from _relation_levels together with I e_j."""
-    return n.ctx.module_relations(
-        n.rank, next(islice(_relation_levels(n), level, None)))
+    """Presentation of the Frobenius pullback F^(level)*N, from the walk."""
+    return _level(n, level)[2]
 
 
 def gamma_structure_violations(n: GammaSheaf) -> list[int]:
@@ -87,38 +117,22 @@ def gamma_structure_violations(n: GammaSheaf) -> list[int]:
     tw = twisted_relations(n, 1)
     violations = []
     for gi, rho in enumerate(n.relations.generators):
-        comps = []
-        for i in range(n.rank):
-            acc = Polynomial.zero(n.ring)
-            for j in range(n.rank):
-                acc = acc + n.matrix[i][j] * rho.comps[j]
-            comps.append(acc)
-        image = FreeVector(n.ring, comps)
+        image = FreeVector(n.ring, (sum((n.matrix[i][j] * rho.comps[j]
+                                         for j in range(n.rank)),
+                                        Polynomial.zero(n.ring))
+                                    for i in range(n.rank)))
         if not normal_form(image, tw).is_zero():
             violations.append(gi)
     return violations
 
 
-def _iterates(n: GammaSheaf):
-    """The composite matrices at levels 1, 2, ...: the one at level e + 1 is
-    the Frobenius of the one at level e times A, reduced mod I."""
-    mat = n.matrix
-    while True:
-        yield mat
-        tw = [[_frobenius(n.ctx, x) for x in row] for row in mat]
-        mat = tuple(tuple(n.ctx.nf(sum((tw[i][t] * n.matrix[t][j]
-                                        for t in range(n.rank)),
-                                       Polynomial.zero(n.ring)))
-                          for j in range(n.rank)) for i in range(n.rank))
-
-
 def gamma_iterate(n: GammaSheaf, e: int) -> tuple:
-    """The matrix of F^(e-1)*gamma o ... o F*gamma o gamma, read from
-    _iterates.  The library does not call it; it stays because
+    """The matrix of F^(e-1)*gamma o ... o F*gamma o gamma, read from the
+    walk.  The library does not call it; it stays because
     perfbench/tracing.py times it and the tests check the chain against it."""
     if e < 1:
         raise ValueError("level must be >= 1")
-    return next(islice(_iterates(n), e - 1, None))
+    return _level(n, e)[1]
 
 
 def _kernel_chain(n: GammaSheaf,
@@ -130,32 +144,39 @@ def _kernel_chain(n: GammaSheaf,
     it is finite too).  Over a finite-dimensional N the walk obeys the
     stopping rule and the limit of gen_stable_dimension and ignores
     ``e_max``.  Over an infinite-dimensional N a nonzero image records None
-    and the walk runs to e_max, or is None without one."""
-    staircase = module_staircase(n.relations, n.rank)
-    if staircase is None and e_max is None:
+    and the walk runs to e_max, or is None without one.  Stored levels are
+    read from e = 1 under the rule and the limit in force (rules 1-4 of
+    GammaSheaf): the same chain, or error, as a fresh walk gives."""
+    levels, dims = _walk(n)
+    if not dims:
+        staircase = module_staircase(n.relations, n.rank)
+        dims.append(None if staircase is None else len(staircase))
+    d = dims[0]
+    if d is None and e_max is None:
         return None
-    d = None if staircase is None else len(staircase)
-    levels, limit = ((e_max, e_max) if d is None
-                     else (max(1, d) + 1, current_limits().chain))
-    relations = _relation_levels(n)
-    stop_on_repeat = not next(relations) or n.ctx.is_ambient  # pops level 0
+    top, limit = ((e_max, e_max) if d is None
+                  else (max(1, d) + 1, current_limits().chain))
+    stop_on_repeat = not levels[0][0] or n.ctx.is_ambient
     chain = []
-    for level, mat, rels in zip(range(1, levels + 1), _iterates(n),
-                                relations):
-        tw = n.ctx.module_relations(n.rank, rels)
-        cols = [FreeVector(n.ring, (mat[i][j] for i in range(n.rank)))
-                for j in range(n.rank)]
-        r = 0 if all(normal_form(c, tw).is_zero() for c in cols) else None
-        if r is None and d is not None:
-            joint = module_buchberger(list(tw.generators) + cols, n.rank,
-                                      n.ring)
-            r = (len(module_staircase(tw, n.rank))
-                 - len(module_staircase(joint, n.rank)))
+    for level in range(1, top + 1):
+        _, mat, tw = _level(n, level)
+        if level == len(dims):
+            cols = [FreeVector(n.ring, (mat[i][j] for i in range(n.rank)))
+                    for j in range(n.rank)]
+            r = None if any(normal_form(c, tw) for c in cols) else 0
+            if r is None and d is not None:
+                joint = module_buchberger(list(tw.generators) + cols, n.rank,
+                                          n.ring)
+                r = ((d if tw is n.relations
+                      else len(module_staircase(tw, n.rank)))
+                     - len(module_staircase(joint, n.rank)))
+            dims.append(r)
+        r = dims[level]
         chain.append((level, mat, r))
         if r == 0 or (stop_on_repeat and r and level > 1
                       and r == chain[-2][2]):
             break
-        if limit <= level < levels:
+        if limit <= level < top:
             raise BudgetExceededError(
                 f"kernel chain did not stop in {limit} levels; the last "
                 f"image dimension was {r} of dim N = {d}")

@@ -12,7 +12,7 @@ from itertools import product
 from .field import FieldElement, FieldSpec, _is_irreducible
 from .gamma import GammaSheaf
 from .linalg import nullspace_mod_p
-from .polyring import GuardExceededError, QuotientContext, check_guard
+from .polyring import QuotientContext, check_guard
 
 
 class FiberDegenerationError(ValueError):

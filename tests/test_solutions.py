@@ -5,13 +5,12 @@ import pytest
 from frobkit.field import FieldSpec
 from frobkit.gamma import GammaSheaf, gamma_is_nilpotent
 from frobkit.linalg import prime_field_kernel
-from frobkit.polyring import (Limits, Polynomial, QuotientContext,
-                              RingContext, use_limits)
-from frobkit.solutions import (FiberDegenerationError, GuardExceededError,
-                               RationalPoint, _check_fiber,
-                               artin_schreier_kernel, enumerate_points,
-                               point_field, smallest_irreducible,
-                               solutions_at_point)
+from frobkit.polyring import (GuardExceededError, Limits, Polynomial,
+                              QuotientContext, RingContext, use_limits)
+from frobkit.solutions import (FiberDegenerationError, RationalPoint,
+                               _check_fiber, artin_schreier_kernel,
+                               enumerate_points, point_field,
+                               smallest_irreducible, solutions_at_point)
 from frobkit.verify import brute_force_solutions, random_gamma
 
 
