@@ -337,9 +337,10 @@ def _h_check_2_14(s: Session, target: GammaSheaf,
 def _h_solutions(s: Session, target: GammaSheaf,
                  point: Optional[RationalPoint], m: int) -> dict:
     pts = [point] if point is not None else enumerate_points(s.ctx, m)
+    solved: dict = {}  # fiber -> space, for this command's points only
     rows = []
     for pt in pts:
-        space = solutions_at_point(target, pt)
+        space = solutions_at_point(target, pt, solved)
         rows.append({"point": pt.to_json()["coords"], "m": pt.m,
                      "dim": space.dimension,
                      "basis": space.to_json()["basis"]})

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Optional
 
 from .field import FieldElement, FieldSpec, _is_irreducible
 from .gamma import GammaSheaf
@@ -119,7 +120,8 @@ def _frobenius_of_basis(spec: FieldSpec) -> tuple[FieldElement, ...]:
     return tuple(b ** spec.p for b in spec.power_basis())
 
 
-def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
+def solutions_at_point(root: GammaSheaf, pt: RationalPoint,
+                       solved: Optional[dict] = None) -> SolutionSpace:
     """Solve w_j = sum_i A_ij(alpha) w_i^p by restriction of scalars: the map
     w -> w - A(alpha)^T w^[p] is F_p-linear, so its kernel is cut out by an
     F_p-linear system in the s*m prime-field coordinates of w.
@@ -128,10 +130,19 @@ def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
     block (j, i) is delta_ij * I - N(A_ij(alpha)), where column t of N(c) is
     the coefficient vector of c * g^(tp) (rows j*m..j*m+m-1 hold the
     coefficients of the image's entry j, columns i*m..i*m+m-1 the
-    coordinates of w_i).  A zero entry leaves its block delta_ij * I."""
+    coordinates of w_i).  A zero entry leaves its block delta_ij * I.
+
+    The system depends only on the point field and the fiber A(alpha).
+    ``solved``, when given, maps each fiber already solved over this point
+    field to its space, and the space is reused at every point with that
+    fiber; the fiber is checked at every point first."""
+    solved = {} if solved is None else solved
     spec = pt.spec
     m, s = spec.e, root.rank
     a_at = _check_fiber(root, pt)
+    key = tuple(c.coeffs for row in a_at for c in row)
+    if key in solved:
+        return solved[key]
     frob = _frobenius_of_basis(spec)
     size = s * m
     system = [[0] * size for _ in range(size)]
@@ -146,7 +157,8 @@ def solutions_at_point(root: GammaSheaf, pt: RationalPoint) -> SolutionSpace:
     basis = tuple(tuple(FieldElement(spec, tuple(sol[k:k + m]))
                         for k in range(0, size, m))
                   for sol in nullspace_mod_p(system, size, spec.p))
-    return SolutionSpace(len(basis), basis)
+    solved[key] = space = SolutionSpace(len(basis), basis)
+    return space
 
 
 def artin_schreier_kernel(q: int) -> int:

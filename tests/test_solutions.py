@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from frobkit import linalg, solutions
 from frobkit.field import FieldSpec
 from frobkit.gamma import GammaSheaf, gamma_is_nilpotent
 from frobkit.linalg import prime_field_kernel
@@ -11,6 +13,7 @@ from frobkit.solutions import (FiberDegenerationError, RationalPoint,
                                _check_fiber, artin_schreier_kernel,
                                enumerate_points, point_field,
                                smallest_irreducible, solutions_at_point)
+from frobkit.session import run_session
 from frobkit.verify import brute_force_solutions, random_gamma
 
 
@@ -238,3 +241,59 @@ def test_integer_assembly_matches_field_images():
             brute = brute_force_solutions(root, pt)
             assert len(brute) == pt.spec.p ** space.dimension
     assert dims == {0, 1, 2, 3}
+
+
+def _identity_session(point=None):
+    objects = {"I": {"gamma": {"rank": 2, "matrix": [["1", "0"], ["0", "1"]]}}}
+    command = {"op": "solutions", "target": "I", "m": 3}
+    if point is not None:
+        objects["P"] = {"point": {"m": 3, "coords": [point]}}
+        command["point"] = "P"
+    return {"field": {"p": 2}, "ring": {"vars": ["x"]}, "ideal": [],
+            "objects": objects, "commands": [command]}
+
+
+def test_each_distinct_fiber_is_solved_once_per_command(monkeypatch):
+    """The identity root has one fiber at all 8 points of GF(2^3), so a
+    solutions command solves one system; a second session solves it again,
+    since nothing solved outlives its command."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linalg.nullspace_mod_p(*args)
+    monkeypatch.setattr(solutions, "nullspace_mod_p", counted)
+    first = run_session(_identity_session())
+    assert len(calls) == 1
+    rows = first[0]["result"]["solutions"]
+    assert len(rows) == 8 and {r["dim"] for r in rows} == {2}
+    assert len({json.dumps(r["basis"]) for r in rows}) == 1
+    assert run_session(_identity_session()) == first
+    assert len(calls) == 2
+    point = run_session(_identity_session(point=[0, 1, 0]))
+    assert len(calls) == 3
+    assert point[0]["result"]["solutions"][0]["basis"] == rows[0]["basis"]
+
+
+def test_fiber_check_runs_at_every_point_with_a_solved_fiber():
+    """The fiber of diag(1, x^4 + x) is diag(1, 0) at x = 0 and at x = a,
+    a generator of GF(4), but the relation x^2 + x vanishes only at 0: the
+    point a must still be refused, though its fiber was solved at 0."""
+    from frobkit.session import run_session
+
+    def session(m):
+        return {"field": {"p": 2}, "ring": {"vars": ["x"]}, "ideal": [],
+                "objects": {"G": {"gamma": {
+                    "rank": 2, "relations": ["[0, x^2 + x]"],
+                    "matrix": [["1", "0"], ["0", "x^4 + x"]]}}},
+                "commands": [{"op": "validate", "target": "G"},
+                             {"op": "solutions", "target": "G", "m": m}]}
+
+    valid, refused = run_session(session(2))
+    assert valid["status"] == "ok" and valid["result"]["valid"]
+    assert refused["status"] == "error"
+    assert refused["error"].endswith("a relation generator does not vanish "
+                                     "at the point")
+    _, solved = run_session(session(1))
+    assert solved["status"] == "ok"
+    assert [r["dim"] for r in solved["result"]["solutions"]] == [1, 1]
