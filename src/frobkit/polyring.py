@@ -18,7 +18,7 @@ from math import prod
 from operator import add, le, neg, sub
 from typing import Iterable, Optional
 
-from .field import FieldElement, FieldSpec, power
+from .field import FieldElement, FieldError, FieldSpec, power
 
 Monomial = tuple  # exponent vectors; length = number of ring variables
 
@@ -305,17 +305,38 @@ class Polynomial:
 
     def evaluate(self, coords: tuple[FieldElement, ...],
                  target: Optional[FieldSpec] = None) -> FieldElement:
-        """Evaluate at a point with coordinates in ``target`` (defaults to the
-        field of the coordinates).  Base-field coefficients embed into the
-        point field via the prime subfield, so both have one characteristic;
-        extension coefficients require the point field to equal the base
-        field.  There must be one coordinate per variable."""
-        if len(coords) != self.ctx.nvars:
-            raise ValueError(f"{len(coords)} coordinates for "
-                             f"{self.ctx.nvars} variables")
-        if target is None:
-            target = coords[0].spec
-        base = self.ctx.field
+        """The value at a point with coordinates in ``target`` (defaults to
+        the field of the coordinates): a one-point call of an Evaluator,
+        whose rules on fields and coordinates apply."""
+        if target is None:  # no coordinates at all: the count is refused
+            target = coords[0].spec if coords else self.ctx.field
+        return Evaluator(self.ctx, (self,), target)(coords)[0]
+
+    def __repr__(self) -> str:
+        return f"Polynomial({format_polynomial(self)!r})"
+
+    def __str__(self) -> str:
+        return format_polynomial(self)
+
+
+class Evaluator:
+    """Several polynomials of one ring compiled for evaluation at points with
+    coordinates in ``target``.  The fields are checked once: base-field
+    coefficients embed into the point field via the prime subfield, so both
+    have one characteristic, and extension coefficients require the point
+    field to equal the base field.  Each coefficient is embedded once, and
+    the zero polynomial and constants are evaluated once.  At a point, each
+    power x_i^e and each distinct non-constant monomial across all the
+    polynomials is computed once, and each polynomial is its constant plus
+    the sum of c * mu(alpha) over its other terms (c = 1 adds mu(alpha)).
+    There must be one coordinate per variable, and each must lie in the
+    point field."""
+
+    __slots__ = ("nvars", "target", "_powers", "_products", "_sums")
+
+    def __init__(self, ctx: RingContext, polys: Iterable[Polynomial],
+                 target: FieldSpec):
+        base = ctx.field
         same = base is target or base == target
         if not same:
             if base.e > 1:
@@ -324,20 +345,60 @@ class Polynomial:
             if base.p != target.p:
                 raise ValueError("the point field has another characteristic")
         pad = (0,) * (target.e - 1)  # a prime-field c is (c, 0, ..., 0)
-        acc = None
-        for m, c in self.terms.items():
-            cv = c if same else FieldElement(target, c.coeffs + pad)
-            for x, e in zip(coords, m):
-                if e:
-                    cv = cv * (x if e == 1 else x ** e)
-            acc = cv if acc is None else acc + cv
-        return target.zero() if acc is None else acc
+        one = target.one()
+        self.nvars, self.target = ctx.nvars, target
+        sums, monos = [], {}  # monos: the distinct non-constant monomials
+        for f in polys:
+            start, terms = None, []
+            for mono, c in f.terms.items():
+                cv = c if same else FieldElement(target, c.coeffs + pad)
+                if any(mono):
+                    monos[mono] = None
+                    terms.append((mono, None if cv == one else cv))
+                else:
+                    start = cv
+            sums.append((target.zero() if start is None and not terms
+                         else start, terms))
+        # the values at a point: each power x_v^e, then the product of the
+        # powers of each monomial in two or more variables
+        self._powers = sorted({(v, e) for mono in monos
+                               for v, e in enumerate(mono) if e})
+        power_slot = {ve: k for k, ve in enumerate(self._powers)}
+        self._products, slot = [], {}
+        for mono in monos:
+            factors = [power_slot[v, e] for v, e in enumerate(mono) if e]
+            if len(factors) == 1:
+                slot[mono] = factors[0]
+            else:
+                slot[mono] = len(self._powers) + len(self._products)
+                self._products.append(factors)
+        self._sums = [(start, [(slot[mono], c) for mono, c in terms])
+                      for start, terms in sums]
 
-    def __repr__(self) -> str:
-        return f"Polynomial({format_polynomial(self)!r})"
-
-    def __str__(self) -> str:
-        return format_polynomial(self)
+    def __call__(self, coords: tuple[FieldElement, ...]) -> list[FieldElement]:
+        """The value of each polynomial at ``coords``, in the order given."""
+        if len(coords) != self.nvars:
+            raise ValueError(f"{len(coords)} coordinates for "
+                             f"{self.nvars} variables")
+        target = self.target
+        for x in coords:
+            if x.spec is not target and x.spec != target:
+                raise FieldError(f"a coordinate in {x.spec} is not in the "
+                                 f"point field {target}")
+        vals = [coords[v] if e == 1 else coords[v] ** e
+                for v, e in self._powers]
+        for first, *rest in self._products:
+            mu = vals[first]
+            for k in rest:
+                mu = mu * vals[k]
+            vals.append(mu)
+        out = []
+        for acc, terms in self._sums:
+            for k, c in terms:
+                term = vals[k] if c is None else c * vals[k]
+                acc = term if acc is None else acc + term
+            out.append(acc)
+        return out
 
 
 class FreeVector:

@@ -22,8 +22,8 @@ from .polyring import (BudgetExceededError, GuardExceededError, Limits,
                        ParseError, QuotientContext, RingContext, buchberger,
                        format_polynomial, format_vector, parse_polynomial,
                        parse_vector, use_limits)
-from .solutions import (RationalPoint, artin_schreier_kernel,
-                        enumerate_points, resolve_point_field,
+from .solutions import (FiberMap, RationalPoint, artin_schreier_kernel,
+                        enumerate_points, ideal_values, resolve_point_field,
                         solutions_at_point)
 
 
@@ -253,7 +253,10 @@ class Session:
         spec = resolve_point_field(self.field, m)
         if len(coords) != self.ring.nvars:
             raise SessionError("point coordinate count mismatch")
-        return RationalPoint(m, spec, tuple(spec.element(c) for c in coords))
+        coords = tuple(spec.element(c) for c in coords)
+        if any(ideal_values(self.ctx, spec)(coords)):
+            raise SessionError("the point does not lie on V(I)")
+        return RationalPoint(m, spec, coords)
 
     def _build_immersion(self, sequence: list) -> ClosedImmersion:
         return ClosedImmersion.create(self.ring, self._polys(sequence))
@@ -336,11 +339,15 @@ def _h_check_2_14(s: Session, target: GammaSheaf,
 
 def _h_solutions(s: Session, target: GammaSheaf,
                  point: Optional[RationalPoint], m: int) -> dict:
-    pts = [point] if point is not None else enumerate_points(s.ctx, m)
-    solved: dict = {}  # fiber -> space, for this command's points only
+    if point is None:
+        pts = enumerate_points(s.ctx, m)
+        spec = resolve_point_field(s.field, m)
+    else:
+        pts, spec = [point], point.spec
+    fibers = FiberMap(target, spec)  # for this command's points only
     rows = []
     for pt in pts:
-        space = solutions_at_point(target, pt, solved)
+        space = solutions_at_point(target, pt, fibers)
         rows.append({"point": pt.to_json()["coords"], "m": pt.m,
                      "dim": space.dimension,
                      "basis": space.to_json()["basis"]})

@@ -13,7 +13,7 @@ from typing import Optional
 from .field import FieldElement, FieldSpec, _is_irreducible
 from .gamma import GammaSheaf
 from .linalg import nullspace_mod_p
-from .polyring import QuotientContext, check_guard
+from .polyring import Evaluator, QuotientContext, check_guard
 
 
 class FiberDegenerationError(ValueError):
@@ -84,6 +84,13 @@ def resolve_point_field(base: FieldSpec, m: int) -> FieldSpec:
     return point_field(base.p, m)
 
 
+def ideal_values(ctx: QuotientContext, spec: FieldSpec) -> Evaluator:
+    """The ideal generators of R = P/I compiled for points over ``spec``: a
+    point lies on V(I) exactly when every value is zero."""
+    return Evaluator(ctx.ring, [g.comps[0] for g in ctx.ideal_gb.generators],
+                     spec)
+
+
 def enumerate_points(ctx: QuotientContext, m: int) -> list[RationalPoint]:
     """All alpha in (GF(p^m))^n at which every ideal generator vanishes.
     Raises GuardExceededError when the p^(m*n) candidates exceed
@@ -92,25 +99,10 @@ def enumerate_points(ctx: QuotientContext, m: int) -> list[RationalPoint]:
     n = ctx.ring.nvars
     check_guard(base.p ** (m * n), "{} candidate points exceed")
     spec = resolve_point_field(base, m)
-    gens = [g.comps[0] for g in ctx.ideal_gb.generators]
-    out = []
-    for coords in product(list(spec.elements()), repeat=n):
-        if all(not g.evaluate(coords, spec) for g in gens):
-            out.append(RationalPoint(m, spec, tuple(coords)))
-    return out
-
-
-def _check_fiber(root: GammaSheaf, pt: RationalPoint) -> list[list[FieldElement]]:
-    """Evaluate the root matrix at the point after checking that the fiber is
-    honestly free (all relation generators vanish)."""
-    spec = pt.spec
-    for rho in root.relations.generators:
-        vals = [c.evaluate(pt.coords, spec) for c in rho.comps]
-        if any(vals):
-            raise FiberDegenerationError("a relation generator does not "
-                                         "vanish at the point")
-    return [[root.matrix[i][j].evaluate(pt.coords, spec)
-             for j in range(root.rank)] for i in range(root.rank)]
+    values = ideal_values(ctx, spec)
+    return [RationalPoint(m, spec, coords)
+            for coords in product(list(spec.elements()), repeat=n)
+            if not any(values(coords))]
 
 
 @lru_cache(maxsize=_POINT_FIELDS)
@@ -120,8 +112,56 @@ def _frobenius_of_basis(spec: FieldSpec) -> tuple[FieldElement, ...]:
     return tuple(b ** spec.p for b in spec.power_basis())
 
 
+def _negated_block(c: FieldElement, frob: tuple[FieldElement, ...]) -> tuple:
+    """-N(c) row by row, where column t of the m x m block N(c) holds the
+    coefficients of c * g^(tp), and ``frob`` lists the g^(tp)."""
+    return tuple(zip(*(tuple(-x for x in (c * bp).coeffs) for bp in frob)))
+
+
+class FiberMap:
+    """A root compiled for one ``solutions`` command over one point field:
+    one Evaluator of its relation components and its s^2 entries, the block
+    -N(c) of each distinct entry value c, and the space of each distinct
+    fiber A(alpha) solved so far.  The command makes it and drops it when
+    it ends, so nothing here outlives the command."""
+
+    def __init__(self, root: GammaSheaf, spec: FieldSpec):
+        self.root, self.spec = root, spec
+        comps = [c for rho in root.relations.generators for c in rho.comps]
+        self._nrel = len(comps)
+        self._values = Evaluator(root.ctx.ring, comps + [
+            e for row in root.matrix for e in row], spec)
+        self.blocks: dict = {}  # c.coeffs -> -N(c)
+        self.solved: dict = {}  # the coefficients of A(alpha) -> its space
+
+    def fiber(self, coords: tuple[FieldElement, ...]) -> list[FieldElement]:
+        """The s^2 entries of A(alpha) row by row, after checking that the
+        fiber is honestly free (every relation component vanishes)."""
+        values = self._values(coords)
+        if any(values[:self._nrel]):
+            raise FiberDegenerationError("a relation generator does not "
+                                         "vanish at the point")
+        return values[self._nrel:]
+
+    def block(self, c: FieldElement) -> tuple[tuple[int, ...], ...]:
+        key = c.coeffs
+        if key not in self.blocks:
+            self.blocks[key] = _negated_block(
+                c, _frobenius_of_basis(self.spec))
+        return self.blocks[key]
+
+
+def _check_fiber(root: GammaSheaf, pt: RationalPoint) -> list[list[FieldElement]]:
+    """The root matrix at the point after checking that the fiber is
+    honestly free (all relation generators vanish), by a FiberMap of its
+    own."""
+    a_at = FiberMap(root, pt.spec).fiber(pt.coords)
+    s = root.rank
+    return [a_at[i:i + s] for i in range(0, s * s, s)]
+
+
 def solutions_at_point(root: GammaSheaf, pt: RationalPoint,
-                       solved: Optional[dict] = None) -> SolutionSpace:
+                       fibers: Optional[FiberMap] = None) -> SolutionSpace:
     """Solve w_j = sum_i A_ij(alpha) w_i^p by restriction of scalars: the map
     w -> w - A(alpha)^T w^[p] is F_p-linear, so its kernel is cut out by an
     F_p-linear system in the s*m prime-field coordinates of w.
@@ -130,34 +170,35 @@ def solutions_at_point(root: GammaSheaf, pt: RationalPoint,
     block (j, i) is delta_ij * I - N(A_ij(alpha)), where column t of N(c) is
     the coefficient vector of c * g^(tp) (rows j*m..j*m+m-1 hold the
     coefficients of the image's entry j, columns i*m..i*m+m-1 the
-    coordinates of w_i).  A zero entry leaves its block delta_ij * I.
+    coordinates of w_i).
 
     The system depends only on the point field and the fiber A(alpha).
-    ``solved``, when given, maps each fiber already solved over this point
-    field to its space, and the space is reused at every point with that
-    fiber; the fiber is checked at every point first."""
-    solved = {} if solved is None else solved
+    ``fibers``, when given, is the FiberMap of this root over the point's
+    field that the caller keeps across its points: the fiber is checked at
+    every point first, then a fiber already solved reuses its space."""
     spec = pt.spec
+    if fibers is None:
+        fibers = FiberMap(root, spec)
+    elif fibers.root is not root or (fibers.spec is not spec
+                                     and fibers.spec != spec):
+        raise ValueError("the fiber map belongs to another root or field")
     m, s = spec.e, root.rank
-    a_at = _check_fiber(root, pt)
-    key = tuple(c.coeffs for row in a_at for c in row)
-    if key in solved:
-        return solved[key]
-    frob = _frobenius_of_basis(spec)
+    a_at = fibers.fiber(pt.coords)
+    key = tuple(c.coeffs for c in a_at)
+    if key in fibers.solved:
+        return fibers.solved[key]
+    system = []
+    for j in range(s):
+        blocks = [fibers.block(a_at[i * s + j]) for i in range(s)]
+        for r in range(m):
+            row = [x for block in blocks for x in block[r]]
+            row[j * m + r] += 1
+            system.append(row)
     size = s * m
-    system = [[0] * size for _ in range(size)]
-    for r in range(size):
-        system[r][r] = 1
-    for i, row in enumerate(a_at):
-        for j, c in enumerate(row):
-            if c:
-                for col, bp in enumerate(frob, i * m):
-                    for r, x in enumerate((c * bp).coeffs, j * m):
-                        system[r][col] -= x
     basis = tuple(tuple(FieldElement(spec, tuple(sol[k:k + m]))
                         for k in range(0, size, m))
                   for sol in nullspace_mod_p(system, size, spec.p))
-    solved[key] = space = SolutionSpace(len(basis), basis)
+    fibers.solved[key] = space = SolutionSpace(len(basis), basis)
     return space
 
 

@@ -205,6 +205,28 @@ def test_point_over_extension_base_needs_the_base_degree():
     assert pt.m == 2 and pt.spec.size == 4
 
 
+def test_point_off_the_variety_is_refused_at_load():
+    """Over GF(3)[x,y]/(x^3 - x) the point (a, 0), a a generator of GF(9),
+    is not on V(I), since a^3 != a: it is refused when the session loads,
+    not at its first solutions command.  (2, 0) lies on V(I)."""
+    def point(m, coords):
+        return base_session(field={"p": 3}, ring={"vars": ["x", "y"]},
+                            ideal=["x^3 - x"], objects={
+                                "G": {"gamma": {"rank": 1,
+                                                "matrix": [["y"]]}},
+                                "P": {"point": {"m": m, "coords": coords}}},
+                            commands=[{"op": "solutions", "target": "G",
+                                       "point": "P"}])
+
+    with pytest.raises(SessionError, match=(
+            r"object 'P': the point does not lie on V\(I\)")):
+        Session(point(2, [[0, 1], [0, 0]]))
+    report, = run_session(point(1, [[2], [0]]))
+    assert report["status"] == "ok"
+    assert report["result"]["solutions"] == [
+        {"point": [[2], [0]], "m": 1, "dim": 0, "basis": []}]
+
+
 def test_fractional_rank_is_rejected():
     # int() would load either object as rank 1
     for kind, body in (("gamma", {"rank": 1.7, "matrix": [["1"]]}),

@@ -7,8 +7,9 @@ from frobkit import linalg, solutions
 from frobkit.field import FieldSpec
 from frobkit.gamma import GammaSheaf, gamma_is_nilpotent
 from frobkit.linalg import prime_field_kernel
-from frobkit.polyring import (GuardExceededError, Limits, Polynomial,
-                              QuotientContext, RingContext, use_limits)
+from frobkit.polyring import (Evaluator, GuardExceededError, Limits,
+                              Polynomial, QuotientContext, RingContext,
+                              use_limits)
 from frobkit.solutions import (FiberDegenerationError, RationalPoint,
                                _check_fiber, artin_schreier_kernel,
                                enumerate_points, point_field,
@@ -273,6 +274,31 @@ def test_each_distinct_fiber_is_solved_once_per_command(monkeypatch):
     point = run_session(_identity_session(point=[0, 1, 0]))
     assert len(calls) == 3
     assert point[0]["result"]["solutions"][0]["basis"] == rows[0]["basis"]
+
+
+def test_compiled_state_lasts_one_command(monkeypatch):
+    """A solutions command over all 8 points of GF(2^3) compiles the identity
+    root once and builds the blocks of its two entry values, 1 and 0, once;
+    a second session compiles and builds them again, since nothing compiled
+    outlives its command."""
+    compiled, blocks = [], []
+
+    def counted_evaluator(ring, polys, spec):
+        compiled.append([str(f) for f in polys])
+        return Evaluator(ring, polys, spec)
+
+    def counted_block(c, frob):
+        blocks.append(c.coeffs)
+        return negated_block(c, frob)
+    negated_block = solutions._negated_block
+    monkeypatch.setattr(solutions, "Evaluator", counted_evaluator)
+    monkeypatch.setattr(solutions, "_negated_block", counted_block)
+    for runs in (1, 2):
+        records = run_session(_identity_session())
+        assert len(records[0]["result"]["solutions"]) == 8
+        # the ideal is zero, so enumerate_points compiles no polynomial
+        assert compiled == [[], ["1", "0", "0", "1"]] * runs
+        assert sorted(blocks) == sorted([(1, 0, 0), (0, 0, 0)] * runs)
 
 
 def test_fiber_check_runs_at_every_point_with_a_solved_fiber():
