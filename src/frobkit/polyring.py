@@ -2,9 +2,11 @@
 Groebner bases for ideals and for submodules of free modules, normal forms,
 quotients, saturation, and regular-sequence testing.
 
-Monomials are plain exponent tuples.  Module term order is position-over-term
-with e_0 > e_1 > ...; within a position the ring's order (lex or grevlex)
-applies.  All computation is exact.
+Monomials are plain exponent tuples, except inside division (_reduce_vector),
+which works on packed keys: each monomial one int, additive and ordered like
+the term order (see _packing).  Module term order is position-over-term with
+e_0 > e_1 > ...; within a position the ring's order (lex or grevlex) applies.
+All computation is exact.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import add, le, neg, sub
@@ -403,9 +406,9 @@ class Evaluator:
 
 class FreeVector:
     """An element of the free module P^s; components are Polynomials.  Like
-    them it never changes after construction, so its leading term and, over
-    a prime field, the integer view of its terms that division reads
-    (_int_view) are computed once."""
+    them it never changes after construction, so its leading term and the
+    packed view of its terms that division reads (_packed_view) are
+    computed once, the view once per packing width."""
 
     __slots__ = ("ctx", "comps", "_lead", "_ints")
 
@@ -516,92 +519,194 @@ def _as_vector(f) -> FreeVector:
     return FreeVector(f.ctx, (f,))
 
 
-def _int_view(v: FreeVector) -> tuple[dict, ...]:
-    """The components of ``v``, over a prime field, as {monomial: int} dicts
-    of coefficients in [0, p)."""
-    return tuple({m: c.coeffs[0] for m, c in comp.terms.items()}
-                 for comp in v.comps)
+@lru_cache(maxsize=None)
+def _packing(nvars: int, order: str, width: int):
+    """(pack, unpack, guard): the terms of polynomials in ``nvars`` variables
+    under ``order`` with packed keys for monomials, in fields of ``width``
+    bits, one per variable.
+
+    The key of m is R(m) - (T(m) << width * nvars).  R(m) holds the
+    exponents in its fields; T(m) is the total degree under grevlex, where
+    e_n is in the top field of R, and R(m) itself under lex, where e_1 is.
+    So keys add like monomials multiply, a smaller key is a larger monomial
+    (keys sort like RingContext.descending_key), and the low width * nvars
+    bits of a key are R(m).  The top bit of each field is a guard bit, one
+    of the bits of ``guard``.  A key is valid when every exponent is below
+    2^(width - 1), so that its guard bits are 0.  The sum of two valid keys
+    carries out of no field, and has a guard bit set exactly where an
+    exponent of the product reaches 2^(width - 1).  For valid keys g and m,
+    g divides m exactly when ((m | guard) - g) & guard == guard: each field
+    of m | guard holds its exponent plus 2^(width - 1), so no field borrows
+    from the next and its guard bit stays set exactly when g's exponent is
+    at most m's.
+
+    pack(terms, p) is the dict {key: coeff} of a {monomial: coeff} dict,
+    with each coefficient as an int in [0, p) if p and as it is otherwise,
+    or None when an exponent reaches 2^(width - 1).  unpack(packed, field,
+    p) turns valid keys back into monomials and, if p, the ints into
+    FieldElements of ``field``.  Both are generated once per (nvars, order,
+    width) and cached, as frobenius._term_loop is, so that a term is packed
+    or unpacked by inline bit operations on its unpacked exponents."""
+    es = [f"e{i}" for i in range(nvars)]
+    shifts = [width * i for i in range(nvars)]
+    if order == "lex":
+        shifts.reverse()
+    fields = " | ".join(f"{e} << {s}" for e, s in zip(es, shifts))
+    top = f"({' + '.join(es)})" if order == "grevlex" else "r"
+    mono = "".join(f"k >> {s} & {(1 << width) - 1}, " for s in shifts)
+    namespace = {"FieldElement": FieldElement}
+    exec(f"""
+def pack(terms, p):
+    out = {{}}
+    for ({', '.join(es)},), c in terms.items():
+        if ({' | '.join(es)}) >> {width - 1}:
+            return None
+        r = {fields}
+        out[r - ({top} << {width * nvars})] = c.coeffs[0] if p else c
+    return out
+
+def unpack(packed, field, p):
+    if p:
+        return {{({mono}): FieldElement(field, (c,))
+                for k, c in packed.items()}}
+    return {{({mono}): c for k, c in packed.items()}}
+""", namespace)
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    return namespace["pack"], namespace["unpack"], guard
+
+
+def _packed_view(g: FreeVector, width: int, p: int) -> Optional[tuple]:
+    """The packed view of a monic ``g`` at ``width`` (see _packing): the
+    width, the key of its leading monomial, and its other terms as
+    (position, {key: coeff}) pairs, one per nonzero position in increasing
+    order; or None when an exponent of ``g`` does not fit.  Coefficients
+    are ints in [0, p) if p, FieldElements otherwise."""
+    ctx = g.ctx
+    pack = _packing(ctx.nvars, ctx.order, width)[0]
+    gpos = g.leading()[0]
+    tail = []
+    for pos, comp in enumerate(g.comps):
+        terms = pack(comp.terms, p)
+        if terms is None:
+            return None
+        if pos == gpos:
+            lead = min(terms)  # the smallest key is the leading monomial
+            del terms[lead]
+        if terms:
+            tail.append((pos, terms))
+    return width, lead, tuple(tail)
+
+
+def _divide(v: FreeVector, gens: list[FreeVector], width: int):
+    """The loop of _reduce_vector at ``width``: the remainder of ``v``, or
+    None when an exponent of the dividend, of a divisor or of a new term
+    does not fit below the guard bit."""
+    ctx = v.ctx
+    field = ctx.field
+    # 0 over an extension field, where the loop runs on FieldElements
+    p = field.p if field.e == 1 else 0
+    pack, unpack, guard = _packing(ctx.nvars, ctx.order, width)
+    push, pop = heapq.heappush, heapq.heappop
+    work = []
+    for comp in v.comps:
+        terms = pack(comp.terms, p)
+        if terms is None:
+            return None
+        work.append(terms)
+    divisors: list[list] = [[] for _ in v.comps]
+    for g in gens:
+        view = g._ints
+        if view is None or view[0] != width:
+            view = _packed_view(g, width, p)
+            if view is None:
+                return None
+            g._ints = view
+        divisors[g.leading()[0]].append(view[1:])
+    heaps = [list(terms) for terms in work]
+    rem: list[dict] = [{} for _ in v.comps]
+
+    for j, terms in enumerate(work):
+        heap = heaps[j]
+        heapq.heapify(heap)
+        divs = divisors[j]
+        out = rem[j]
+        while heap:
+            m = pop(heap)
+            c = terms.pop(m) % p if p else terms.pop(m)
+            if not c:
+                continue
+            mg = m | guard
+            for lead, tail in divs:
+                if (mg - lead) & guard == guard:
+                    shift = m - lead
+                    nc = p - c if p else -c
+                    for pos, gterms in tail:
+                        tgt = work[pos]
+                        tgt_heap = heaps[pos]
+                        for k, cc in gterms.items():
+                            k += shift
+                            if k in tgt:
+                                tgt[k] += cc * nc
+                            else:
+                                if k & guard:
+                                    return None
+                                tgt[k] = cc * nc
+                                push(tgt_heap, k)
+                    break
+            else:
+                out[m] = c
+    return FreeVector(ctx, (Polynomial(ctx, unpack(d, field, p), _clean=False)
+                            for d in rem))
 
 
 def _reduce_vector(v: FreeVector, gens: list[FreeVector]) -> FreeVector:
     """Full multivariate division: returns the remainder of ``v`` against
     ``gens``.  Generators must be monic.
 
-    Each position keeps its pending terms in a dict and their descending keys
-    in a heap, so the largest pending term is a heap pop; a key is computed
-    once, when its monomial enters the dict, and a heap entry whose monomial
-    has cancelled since is skipped.  The divisor of a term is the first
-    generator, in list order, whose lead divides it.  Reducing at position j
-    adds terms only at positions >= j (a generator's lead position is its
-    first nonzero one), and at position j only below the term reduced, so the
-    positions drain in increasing order.
+    The loop (_divide) works on packed keys (see _packing): each monomial is
+    one int, a product term costs one add, the quotient shift of a term m by
+    a lead g is m - g, and the test "g divides m" is one subtract and one
+    mask.  Each position keeps its pending terms in a {key: coeff} dict and
+    the keys in a min-heap, so the largest pending term is a heap pop of a
+    bare int.  The divisor of a term is the first generator, in list order,
+    whose lead divides it; the term is removed, as the monic lead cancels
+    it, and the generator's other terms, shifted, are subtracted.  Reducing
+    at position j adds terms only at positions >= j (a generator's lead
+    position is its first nonzero one), and at position j only below the
+    term reduced, so the positions drain in increasing order and a term
+    popped never comes back.  So each key enters the heap once, when its
+    term enters the dict, and a term stays in the dict until its pop, which
+    skips it when its coefficient has cancelled to zero.
 
-    Over a prime field the loop runs on int coefficients mod p, not on
-    FieldElements: the dividend's terms are copied into int dicts, each
-    generator's int view (_int_view) is built on its first division and
-    cached on it, so that a basis element is converted once however many
-    reductions it serves, and the remainder is rebuilt as FieldElement
-    polynomials.  The cached dicts are only read, never written."""
-    ctx = v.ctx
-    field = ctx.field
-    dkey = ctx.descending_key
-    # 0 over an extension field, where the loop runs on FieldElements
-    p = field.p if field.e == 1 else 0
-    divisors: list[list] = [[] for _ in v.comps]
+    Over a prime field the coefficients are ints, reduced mod p when their
+    term is popped, so that an update is one multiply-add; over GF(p^e) they
+    are FieldElements.  The dividend is packed into fresh dicts; each
+    generator's packed view (_packed_view) is built on its first division
+    at a width and cached on it, so that a basis element is packed once per
+    width however many reductions it serves.  The cached views are only
+    read, never written, and the remainder is unpacked into polynomials.
+
+    The width is the smallest of 8, 16, 32, ... bits at which every exponent
+    of the dividend and of the divisors lies below the guard bit, and at
+    least the width of every divisor's cached view, so that no view is
+    built again narrower.  A dividend or divisor that does not fit, or a new
+    term whose key has a guard bit set (as under lex or in the tails of a
+    position-over-term module), sends the division back to the start at
+    twice the width.  The restart is exact: up to the overflow every key
+    was valid and stood for its monomial, the new keys are made from the
+    same monomials, and the steps of a division depend only on the
+    monomials and the coefficients, so the run at the wider width takes the
+    same steps and ends in the same remainder."""
+    width = 8
     for g in gens:
-        gpos, gm, _ = g.leading()
-        if p:
-            view = g._ints
-            if view is None:
-                view = g._ints = _int_view(g)
-        else:
-            view = tuple(comp.terms for comp in g.comps)
-        divisors[gpos].append((gm, view))
-    if p:
-        work = [{m: c.coeffs[0] for m, c in comp.terms.items()}
-                for comp in v.comps]
-    else:
-        work = [dict(comp.terms) for comp in v.comps]
-    heaps = [[(dkey(m), m) for m in terms] for terms in work]
-    rem = [dict() for _ in v.comps]
-
-    for j, terms in enumerate(work):
-        heap = heaps[j]
-        heapq.heapify(heap)
-        while heap:
-            m = heapq.heappop(heap)[1]
-            c = terms.get(m)
-            if c is None:
-                continue
-            for gm, comps in divisors[j]:
-                if mono_divides(gm, m):
-                    shift = mono_div(m, gm)
-                    for pos in range(j, len(comps)):
-                        tgt = work[pos]
-                        tgt_heap = heaps[pos]
-                        for mm, cc in comps[pos].items():
-                            mmm = mono_mul(mm, shift)
-                            prod = cc * c
-                            if mmm in tgt:
-                                s = tgt[mmm] - prod
-                                if p:
-                                    s %= p
-                                if s:
-                                    tgt[mmm] = s
-                                else:
-                                    del tgt[mmm]
-                            else:
-                                tgt[mmm] = -prod % p if p else -prod
-                                heapq.heappush(tgt_heap, (dkey(mmm), mmm))
-                    break
-            else:
-                rem[j][m] = c
-                del terms[m]
-
-    if p:
-        rem = [{m: FieldElement(field, (c,)) for m, c in d.items()}
-               for d in rem]
-    return FreeVector(ctx, (Polynomial(ctx, d, _clean=False) for d in rem))
+        view = g._ints
+        if view is not None and view[0] > width:
+            width = view[0]
+    r = _divide(v, gens, width)
+    while r is None:
+        width *= 2
+        r = _divide(v, gens, width)
+    return r
 
 
 def normal_form(f, gb: GroebnerBasis):

@@ -12,13 +12,14 @@ from frobkit import polyring
 from frobkit.field import FieldSpec
 from frobkit.polyring import (BudgetExceededError, FreeVector, Limits,
                               ParseError, Polynomial, QuotientContext,
-                              RingContext, _int_view, _interreduce,
-                              _reduce_vector, _spair, buchberger,
+                              RingContext, _interreduce, _packed_view,
+                              _packing, _reduce_vector, _spair, buchberger,
                               current_limits, format_polynomial, format_vector,
                               is_regular_sequence, module_buchberger,
-                              module_quotient, module_staircase,
-                              normal_form, parse_polynomial, parse_vector,
-                              saturate, submodule_equal, use_limits)
+                              module_quotient, module_staircase, mono_divides,
+                              mono_mul, normal_form, parse_polynomial,
+                              parse_vector, saturate, submodule_equal,
+                              use_limits)
 from frobkit.solutions import point_field
 
 
@@ -421,9 +422,15 @@ def test_golden_bases():
                                 "de0081b18586f06d200f49dcd957d3b0")
 
 
+def view_copy(g: FreeVector) -> tuple:
+    """A copy of the packed view cached on ``g``, with its dicts copied."""
+    width, lead, tail = g._ints
+    return width, lead, tuple((pos, dict(d)) for pos, d in tail)
+
+
 def test_division_never_writes_into_its_inputs():
-    """Division copies the dividend and reads each divisor's cached int view
-    without writing into it: dividing twice gives the same remainder, a
+    """Division copies the dividend and reads each divisor's cached packed
+    view without writing into it: dividing twice gives the same remainder, a
     basis element divided by its own basis gives zero, and no term dict or
     cached view of a divisor changes."""
     ring, gb = katsura_4_basis()
@@ -440,7 +447,7 @@ def test_division_never_writes_into_its_inputs():
         terms = [[dict(c.terms) for c in g.comps] for g in gens]
         v_terms = [dict(c.terms) for c in v.comps]
         first = _reduce_vector(v, gens)
-        views = [tuple(dict(d) for d in g._ints) for g in gens]
+        views = [view_copy(g) for g in gens]
         assert _reduce_vector(v, gens) == first
         assert first
         for g in gens:
@@ -448,26 +455,190 @@ def test_division_never_writes_into_its_inputs():
             assert not _reduce_vector(g, gens)
         assert [dict(c.terms) for c in v.comps] == v_terms
         assert [[dict(c.terms) for c in g.comps] for g in gens] == terms
-        assert [tuple(dict(d) for d in g._ints) for g in gens] == views
-        assert [g._ints for g in gens] == [_int_view(g) for g in gens]
+        assert [view_copy(g) for g in gens] == views
+        p = gens[0].ctx.field.p
+        assert [g._ints for g in gens] == [_packed_view(g, g._ints[0], p)
+                                           for g in gens]
 
 
-def test_int_view_is_built_once_per_basis_element(monkeypatch):
+def test_packed_view_is_built_once_per_basis_element(monkeypatch):
     """During one buchberger call every basis element, the S-pair remainders
-    and the elements of the interreduction alike, is converted to ints at
-    most once, however many reductions it serves.  Views are counted by
-    value, so a vector rebuilt with the same terms counts again."""
+    and the elements of the interreduction alike, is packed at most once,
+    however many reductions it serves.  Views are counted by value, so a
+    vector rebuilt with the same terms counts again."""
     built = Counter()
 
-    def counting(v):
+    def counting(v, width, p):
         built[v] += 1
-        return _int_view(v)
+        return _packed_view(v, width, p)
 
-    monkeypatch.setattr(polyring, "_int_view", counting)
+    monkeypatch.setattr(polyring, "_packed_view", counting)
     _, gb = katsura_4_basis()
     assert len(gb.generators) == 13
     assert len(built) > 13
     assert max(built.values()) == 1
+
+
+def test_division_uses_no_tuple_monomials(monkeypatch):
+    """A normal form by the Katsura-4 basis multiplies and compares packed
+    keys only: no mono_mul and no mono_divides call."""
+    ring, gb = katsura_4_basis()
+    f = parse_polynomial(ring, "x0^3*x1 + 5*x2^2*x4 + x3^4 + 7*x1*x2 + 11")
+    member = f * gb.polys[3]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(polyring, "mono_mul", counted("mono_mul", mono_mul))
+    monkeypatch.setattr(polyring, "mono_divides",
+                        counted("mono_divides", mono_divides))
+    assert normal_form(f, gb)
+    assert not normal_form(member, gb)
+    assert calls == {}
+
+
+@st.composite
+def packed_cases(draw):
+    """An order, 1-6 variables, a width of 8 or 16 bits, and two monomials
+    whose exponents fit below the guard bit."""
+    order = draw(st.sampled_from(["lex", "grevlex"]))
+    nvars = draw(st.integers(1, 6))
+    width = draw(st.sampled_from([8, 16]))
+    exps = st.lists(st.integers(0, 2 ** (width - 1) - 1), min_size=nvars,
+                    max_size=nvars).map(tuple)
+    return order, nvars, width, draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(packed_cases())
+def test_packed_keys(case):
+    """Packed keys are R(m) - (T(m) << width * nvars), invert, sort like
+    descending_key, add like mono_mul, test divisibility like mono_divides,
+    and set a guard bit in a sum exactly when an exponent of the product
+    reaches 2^(width - 1), which is where the packer refuses a term."""
+    order, nvars, width, a, b = case
+    pack_terms, unpack_terms, guard = _packing(nvars, order, width)
+    limit = 2 ** (width - 1)
+
+    def pack(m):
+        (key,) = pack_terms({m: None}, 0)
+        return key
+
+    def unpack(key):
+        (m,) = unpack_terms({key: None}, None, 0)
+        return m
+
+    def key(m):
+        """The key by its definition: e_1 in the top field under lex, e_n
+        under grevlex, and T(m) = R(m) under lex, the degree under grevlex."""
+        fields = m if order == "grevlex" else m[::-1]
+        r = sum(e << (width * i) for i, e in enumerate(fields))
+        return r - ((r if order == "lex" else sum(m)) << width * nvars)
+
+    dkey = RingContext(FieldSpec(2), tuple(f"x{i}" for i in range(nvars)),
+                       order).descending_key
+    ab = mono_mul(a, b)
+    assert pack(a) == key(a) and pack(b) == key(b)
+    assert unpack(pack(a)) == a and unpack(pack(b)) == b
+    assert (pack(a) < pack(b)) == (dkey(a) < dkey(b))
+    assert (pack(a) == pack(b)) == (a == b)
+    assert pack(a) + pack(b) == key(ab)
+    assert bool((pack(a) + pack(b)) & guard) == (max(ab) >= limit)
+    assert (pack_terms({ab: None}, 0) is None) == (max(ab) >= limit)
+    for g, m in ((a, b), (b, a), (a, ab), (b, ab)):
+        if max(m) < limit:
+            assert (((pack(m) | guard) - pack(g)) & guard == guard) == \
+                mono_divides(g, m)
+
+
+def restart_widths(monkeypatch) -> list:
+    """Record the width of every pass of the division loop."""
+    widths = []
+    divide = polyring._divide
+
+    def recording(v, gens, width):
+        widths.append(width)
+        return divide(v, gens, width)
+
+    monkeypatch.setattr(polyring, "_divide", recording)
+    return widths
+
+
+def test_division_restarts_at_double_width(monkeypatch):
+    """A division starts again at twice the width while its dividend or a
+    divisor does not fit, or a new term's exponent reaches the guard bit,
+    and its remainder is the max-scan division's.  In each case but the
+    third, everything fits at the last width but one, so the last restart
+    comes from a new term: y^200 under lex past 2^7, a power of y past
+    2^15, a module tail y^140 past 2^7, and y^(6p) in an ambient Frobenius
+    twist over GF(p), p = 2^61 - 1, past 2^63.  The divisors' views are kept
+    at the width of the last pass."""
+    lex = RingContext(FieldSpec(2), ("x", "y"), "lex")
+    r2 = RingContext(FieldSpec(3), ("x", "y"))
+    big = RingContext(FieldSpec(2 ** 61 - 1), ("x", "y"), "lex")
+    p = big.field.p
+
+    twist = parse_polynomial(big, "x + y^2").frobenius_twist()
+    cases = [
+        ([parse_vector(lex, 1, "x + y^100")],
+         parse_vector(lex, 1, "x^2 + x*y"), [8, 16]),
+        ([parse_vector(lex, 1, "x + y^300"),
+          parse_vector(lex, 1, "y^3000 + y")],
+         parse_vector(lex, 1, "x^120 + x^3*y"), [8, 16, 32]),
+        ([parse_vector(lex, 1, "x + y^300"),
+          parse_vector(lex, 1, "y^70001 + y")],
+         parse_vector(lex, 1, "x^120 + x^3*y"), [8, 16, 32]),
+        ([parse_vector(r2, 2, "[x, y^100]"),
+          parse_vector(r2, 2, "[0, x^2*y^20 + 1]")],
+         parse_vector(r2, 2, "[x^3*y^40 + 2*y, x*y]"), [8, 16]),
+        ([FreeVector(big, (twist,))],
+         FreeVector(big, (Polynomial.monomial(big, (3 * p, 0)),)),
+         [8, 16, 32, 64, 128]),
+    ]
+    for gens, v, passes in cases:
+        widths = restart_widths(monkeypatch)
+        got = _reduce_vector(v, gens)
+        assert widths == passes
+        assert [g._ints[0] for g in gens] == [passes[-1]] * len(gens)
+        assert got == max_scan_reduce(v, gens)
+    assert max(max(m) for m in got.comps[0].terms) >= 6 * p
+
+
+def test_buchberger_across_widths_matches_all_pairs(monkeypatch):
+    """Bases whose S-pair reductions restart past 2^7 and 2^15, under lex and
+    in a module tail, and a twisted basis over GF(2^61 - 1), agree with the
+    all-pairs loop with max-scan division."""
+    lex = RingContext(FieldSpec(2), ("x", "y"), "lex")
+    lex3 = RingContext(FieldSpec(3), ("x", "y"), "lex")
+    big = RingContext(FieldSpec(2 ** 61 - 1), ("x", "y"), "lex")
+
+    def twisted(*texts):
+        return [FreeVector(big, (parse_polynomial(big, t).frobenius_twist(),))
+                for t in texts]
+
+    cases = [
+        (lex, 1, lambda: [parse_vector(lex, 1, t)
+                          for t in ("x + y^100", "x^2 + y")], {8, 16}),
+        (lex, 1, lambda: [parse_vector(lex, 1, t)
+                          for t in ("x + y^200", "x^200 + y")], {8, 16, 32}),
+        (lex3, 2, lambda: [parse_vector(lex3, 2, t)
+                           for t in ("[x, y^100 + 1]", "[x^2 + 2*x*y^30, y]",
+                                     "[y^2, x]")], {8, 16}),
+        (big, 1, lambda: twisted("x^2 + y", "x*y + 1"), {8, 16, 32, 64}),
+    ]
+    for ctx, rank, gens, passes in cases:
+        # fresh vectors for each loop, so that no packed view is cached yet
+        widths = restart_widths(monkeypatch)
+        got = module_buchberger(gens(), rank, ctx)
+        assert set(widths) == passes
+        monkeypatch.undo()
+        expected = all_pairs_buchberger(gens(), rank, ctx)
+        assert ([format_vector(g) for g in got.generators]
+                == [format_vector(g) for g in expected.generators])
 
 
 def test_normal_form_is_idempotent(ring2):
